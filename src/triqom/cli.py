@@ -332,8 +332,8 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
     params = cfg.params
     n_cav = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha)
     n_mech = cfg.n_mech if cfg.n_mech is not None else mechanics_dim(params, n_cav)
-    # initial tails loosened: modest cutoffs keep the RK4 run affordable and
-    # the lost weight is reported below
+    # initial tails loosened: modest cutoffs keep the Liouvillian (d^2 x d^2,
+    # d = 2 n_cav n_mech) small, and the lost weight is reported below
     cav = coherent_state(params.alpha, n_cav, label="cavity", tail_tol=1e-3)
     mech = coherent_state(params.beta, n_mech, label="mech", tail_tol=1e-3)
     rho0 = tensor(qubit_state(1.0, 1.0), cav, mech).density_matrix()

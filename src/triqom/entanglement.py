@@ -99,7 +99,9 @@ def intrinsic_qc_numeric(state: PureState | DensityMatrix) -> float:
     """Residual qubit-cavity mixedness S_q + S_c - S_o from single-party reductions.
 
     For a pure tripartite state this isolates the qubit-cavity entanglement that
-    is not mediated by the oscillator.  Input must carry all three subsystems.
+    is not mediated by the oscillator.  It is a pure-state measure: with thermal
+    mechanics it is offset by the mechanics' linear entropy (-0.5 at t = 0 for
+    nbar = 0.5).  Input must carry all three subsystems.
     """
     if state.space.labels != ("qubit", "cavity", "mech"):
         raise ValueError("intrinsic measure needs the full tripartite state")

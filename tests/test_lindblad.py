@@ -209,6 +209,29 @@ class TestIntegrate:
         b = integrate(rho0, p, [1.0], OpenSystemConfig(dt=1e-3)).states[-1]
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-6
 
+    def test_matches_dense_liouvillian_exponential(self):
+        from scipy.linalg import expm
+        p = ModelParams(g=0.2, lam=0.25, kappa=0.05, gamma_m=0.02, Gamma=0.03,
+                        Gamma_phi=0.04, n_th=0.5, n_q=0.3)
+        cs = CompositeSpace(2, 3)
+        diss = build_dissipators(p, cs)
+        assert len(diss) == 7
+        d = cs.dim
+        # column k of the dense Liouvillian is the right-hand side of the
+        # k-th row-major basis matrix
+        lio = np.empty((d * d, d * d), dtype=complex)
+        for k in range(d * d):
+            e = np.zeros(d * d, dtype=complex)
+            e[k] = 1.0
+            lio[:, k] = lindblad_rhs(e.reshape(d, d), p, cs, diss).reshape(-1)
+        rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
+        times = [0.0, 0.3, TWO_PI, 20.0]
+        traj = integrate(rho0, p, times)
+        assert np.array_equal(traj.states[0].matrix, rho0.matrix)
+        for t, state in zip(times, traj.states):
+            want = (expm(t * lio) @ rho0.matrix.reshape(-1)).reshape(d, d)
+            assert np.max(np.abs(state.matrix - want)) <= 1e-10
+
     def test_positivity_violation_aborts(self):
         p = ModelParams(g=0.1, lam=0.2)
         cs = CompositeSpace(3, 4)
