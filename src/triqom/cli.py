@@ -1,8 +1,9 @@
 """Scenario runner: maps flat `key = value` config files onto library calls and
 writes deterministic, diff-able data files plus a JSON manifest.
 
-Exit codes: 0 success, 1 validation error (bad usage or bad config), 2
-numerical failure while running a valid scenario.
+Exit codes: 0 success, 1 validation error (bad usage, bad config, or an
+output directory that cannot be written), 2 numerical failure while running a
+valid scenario.
 """
 from __future__ import annotations
 
@@ -45,28 +46,6 @@ from .nonclassical import (
 
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "main"]
 
-SCENARIOS = (
-    "fock-entanglement",
-    "coherent-entanglement",
-    "thermal-entanglement",
-    "open-sweep",
-    "cat-unconditional",
-    "cat-conditional",
-    "kitten-fidelity",
-)
-
-_FLOAT_KEYS = frozenset({
-    "g", "lambda", "alpha", "beta", "nbar", "kappa", "gamma_m", "n_th", "n_q",
-    "t_start", "t_end", "dt", "g_min", "g_max",
-})
-_INT_KEYS = frozenset({
-    "samples", "l", "p", "n_cav", "n_mech", "seed", "grid_points", "g_samples",
-})
-_LIST_KEYS = frozenset({"Gamma", "Gamma_phi"})  # comma lists, open-sweep only
-_STR_KEYS = frozenset({"scenario", "out_dir"})
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description with defaults filled in.
@@ -96,6 +75,10 @@ class ScenarioConfig:
     echo: dict = field(repr=False)
 
 
+def _parse_str(key: str, raw: str) -> str:
+    return raw
+
+
 def _parse_float(key: str, raw: str) -> float:
     try:
         v = float(raw)
@@ -113,6 +96,43 @@ def _parse_int(key: str, raw: str) -> int:
         raise ValueError(f"key '{key}': expected an integer, got {raw!r}") from None
 
 
+def _parse_list(key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, part.strip()) for part in raw.split(","))
+
+
+# every accepted key: (parser, default).  A None default leaves the key unset;
+# `scenario` and `lambda` are required, and `g` is required except for
+# kitten-fidelity, which scans it.
+_KEYS = {
+    "scenario": (_parse_str, None),
+    "g": (_parse_float, None),
+    "lambda": (_parse_float, None),
+    "alpha": (_parse_float, 2.0),
+    "beta": (_parse_float, 2.0),
+    "nbar": (_parse_float, 0.0),
+    "kappa": (_parse_float, 0.0),
+    "gamma_m": (_parse_float, 0.0),
+    "Gamma": (_parse_list, (0.0,)),  # comma lists, open-sweep only
+    "Gamma_phi": (_parse_list, (0.0,)),
+    "n_th": (_parse_float, 0.0),
+    "n_q": (_parse_float, None),
+    "t_start": (_parse_float, 0.0),
+    "t_end": (_parse_float, 4.0 * math.pi),
+    "samples": (_parse_int, 400),
+    "l": (_parse_int, 1),
+    "p": (_parse_int, 2),
+    "out_dir": (_parse_str, None),
+    "n_cav": (_parse_int, None),
+    "n_mech": (_parse_int, None),
+    "dt": (_parse_float, 1e-3),
+    "seed": (_parse_int, 0),
+    "grid_points": (_parse_int, 201),
+    "g_min": (_parse_float, 1e-3),
+    "g_max": (_parse_float, 0.03),
+    "g_samples": (_parse_int, 61),
+}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat `key = value` config text; unknown or malformed keys fail closed."""
     seen: dict[str, str] = {}
@@ -125,7 +145,7 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw = body.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key '{key}'")
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key '{key}'")
@@ -135,104 +155,65 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if "scenario" not in seen:
         raise ValueError("missing required key 'scenario'")
-    scenario = seen.pop("scenario")
-    if scenario not in SCENARIOS:
+    scenario = seen["scenario"]
+    if scenario not in _RUNNERS:
         raise ValueError(
             f"key 'scenario': unknown scenario '{scenario}' "
-            f"(choose from {', '.join(SCENARIOS)})")
+            f"(choose from {', '.join(_RUNNERS)})")
 
-    vals: dict = {}
+    vals = {key: default for key, (_, default) in _KEYS.items()}
     for key, raw in seen.items():
-        if key in _STR_KEYS:
-            vals[key] = raw
-        elif key in _INT_KEYS:
-            vals[key] = _parse_int(key, raw)
-        elif key in _LIST_KEYS:
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) > 1 and scenario != "open-sweep":
-                raise ValueError(
-                    f"key '{key}': comma lists are only valid for open-sweep")
-            vals[key] = tuple(_parse_float(key, p) for p in parts)
-        else:
-            vals[key] = _parse_float(key, raw)
+        parse = _KEYS[key][0]
+        if parse is _parse_list and "," in raw and scenario != "open-sweep":
+            raise ValueError(f"key '{key}': comma lists are only valid for open-sweep")
+        vals[key] = parse(key, raw)
 
-    if "lambda" not in vals:
+    if "lambda" not in seen:
         raise ValueError("missing required key 'lambda'")
-    if "g" not in vals and scenario != "kitten-fidelity":
+    if "g" not in seen and scenario != "kitten-fidelity":
         raise ValueError("missing required key 'g'")
 
-    g = vals.get("g", 0.0)
-    lam = vals["lambda"]
-    alpha = vals.get("alpha", 2.0)
-    beta = vals.get("beta", 2.0)
-    nbar = vals.get("nbar", 0.0)
-    Gammas = vals.get("Gamma", (0.0,))
-    gamma_phis = vals.get("Gamma_phi", (0.0,))
-    t_start = vals.get("t_start", 0.0)
-    t_end = vals.get("t_end", 4.0 * math.pi)
-    samples = vals.get("samples", 400)
-    l = vals.get("l", 1)
-    p = vals.get("p", 2)
-    dt = vals.get("dt", 1e-3)
-    seed = vals.get("seed", 0)
-    grid_points = vals.get("grid_points", 201)
-    g_min = vals.get("g_min", 1e-3)
-    g_max = vals.get("g_max", 0.03)
-    g_samples = vals.get("g_samples", 61)
-    n_cav = vals.get("n_cav")
-    n_mech = vals.get("n_mech")
-
-    if samples < 2:
-        raise ValueError(f"key 'samples': need at least 2, got {samples}")
-    if t_start < 0:
-        raise ValueError(f"key 't_start': must be >= 0, got {t_start}")
-    if t_end <= t_start:
-        raise ValueError(f"key 't_end': must exceed t_start, got {t_end}")
-    if l < 1:
-        raise ValueError(f"key 'l': must be >= 1, got {l}")
-    if p < 1:
-        raise ValueError(f"key 'p': must be >= 1, got {p}")
-    if dt <= 0:
-        raise ValueError(f"key 'dt': must be > 0, got {dt}")
-    if grid_points < 8:
-        raise ValueError(f"key 'grid_points': need at least 8, got {grid_points}")
-    if g_samples < 3:
-        raise ValueError(f"key 'g_samples': need at least 3, got {g_samples}")
-    if not 0 < g_min < g_max:
+    if vals["samples"] < 2:
+        raise ValueError(f"key 'samples': need at least 2, got {vals['samples']}")
+    if vals["t_start"] < 0:
+        raise ValueError(f"key 't_start': must be >= 0, got {vals['t_start']}")
+    if vals["t_end"] <= vals["t_start"]:
+        raise ValueError(f"key 't_end': must exceed t_start, got {vals['t_end']}")
+    if vals["l"] < 1:
+        raise ValueError(f"key 'l': must be >= 1, got {vals['l']}")
+    if vals["p"] < 1:
+        raise ValueError(f"key 'p': must be >= 1, got {vals['p']}")
+    if vals["dt"] <= 0:
+        raise ValueError(f"key 'dt': must be > 0, got {vals['dt']}")
+    if vals["grid_points"] < 8:
+        raise ValueError(f"key 'grid_points': need at least 8, got {vals['grid_points']}")
+    if vals["g_samples"] < 3:
+        raise ValueError(f"key 'g_samples': need at least 3, got {vals['g_samples']}")
+    if not 0 < vals["g_min"] < vals["g_max"]:
         raise ValueError(f"key 'g_min'/'g_max': need 0 < g_min < g_max, "
-                         f"got {g_min}, {g_max}")
-    if n_cav is not None and n_cav < 2:
-        raise ValueError(f"key 'n_cav': must be >= 2, got {n_cav}")
-    if n_mech is not None and n_mech < 2:
-        raise ValueError(f"key 'n_mech': must be >= 2, got {n_mech}")
+                         f"got {vals['g_min']}, {vals['g_max']}")
+    for key in ("n_cav", "n_mech"):
+        if vals[key] is not None and vals[key] < 2:
+            raise ValueError(f"key '{key}': must be >= 2, got {vals[key]}")
 
     try:
         params = ModelParams(
-            g=g, lam=lam, alpha=alpha, beta=beta, nbar_mech=nbar,
-            kappa=vals.get("kappa", 0.0), gamma_m=vals.get("gamma_m", 0.0),
-            Gamma=Gammas[0], Gamma_phi=gamma_phis[0],
-            n_th=vals.get("n_th", 0.0), n_q=vals.get("n_q"))
+            g=0.0 if vals["g"] is None else vals["g"], lam=vals["lambda"],
+            alpha=vals["alpha"], beta=vals["beta"], nbar_mech=vals["nbar"],
+            kappa=vals["kappa"], gamma_m=vals["gamma_m"],
+            Gamma=vals["Gamma"][0], Gamma_phi=vals["Gamma_phi"][0],
+            n_th=vals["n_th"], n_q=vals["n_q"])
     except ValueError as exc:
         raise ValueError(f"invalid physical parameters: {exc}") from None
 
-    echo = {
-        "scenario": scenario, "g": vals.get("g"), "lambda": lam,
-        "alpha": alpha, "beta": beta, "nbar": nbar,
-        "kappa": params.kappa, "gamma_m": params.gamma_m,
-        "Gamma": list(Gammas), "Gamma_phi": list(gamma_phis),
-        "n_th": params.n_th, "n_q": params.n_q,
-        "t_start": t_start, "t_end": t_end, "samples": samples,
-        "l": l, "p": p, "out_dir": vals.get("out_dir"),
-        "n_cav": n_cav, "n_mech": n_mech, "dt": dt, "seed": seed,
-        "grid_points": grid_points,
-        "g_min": g_min, "g_max": g_max, "g_samples": g_samples,
-    }
+    echo = {key: list(v) if isinstance(v, tuple) else v for key, v in vals.items()}
     return ScenarioConfig(
-        scenario=scenario, params=params, Gammas=Gammas, gamma_phis=gamma_phis,
-        t_start=t_start, t_end=t_end, samples=samples, l=l, p=p,
-        out_dir=vals.get("out_dir"), n_cav=n_cav, n_mech=n_mech, dt=dt,
-        seed=seed, grid_points=grid_points, g_min=g_min, g_max=g_max,
-        g_samples=g_samples, echo=echo)
+        scenario=scenario, params=params, Gammas=vals["Gamma"],
+        gamma_phis=vals["Gamma_phi"], t_start=vals["t_start"], t_end=vals["t_end"],
+        samples=vals["samples"], l=vals["l"], p=vals["p"], out_dir=vals["out_dir"],
+        n_cav=vals["n_cav"], n_mech=vals["n_mech"], dt=vals["dt"], seed=vals["seed"],
+        grid_points=vals["grid_points"], g_min=vals["g_min"], g_max=vals["g_max"],
+        g_samples=vals["g_samples"], echo=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +280,9 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     return CompositeSpace(n_cav, n_mech)
 
 
-def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
+def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path, quiet: bool,
                       manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
-    evolver = {
-        "fock-entanglement": evolve_fock_superposition,
-        "coherent-entanglement": evolve_coherent,
-        "thermal-entanglement": evolve_thermal,
-    }[cfg.scenario]
     ts = _time_grid(cfg)
     stride = max(1, cfg.samples // 8)
     rows = []
@@ -414,6 +390,19 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 
+# the evolvers are looked up when a scenario runs, not when this table is
+# built, so a module attribute patched later (a tracer, a mock) is the one called
+_RUNNERS = {
+    "fock-entanglement": lambda *a: _run_entanglement(evolve_fock_superposition, *a),
+    "coherent-entanglement": lambda *a: _run_entanglement(evolve_coherent, *a),
+    "thermal-entanglement": lambda *a: _run_entanglement(evolve_thermal, *a),
+    "open-sweep": _run_open_sweep,
+    "cat-unconditional": _run_cat,
+    "cat-conditional": _run_cat,
+    "kitten-fidelity": _run_kitten,
+}
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None,
                  quiet: bool = False) -> dict:
     """Execute one scenario, writing data files and manifest.json to out_dir."""
@@ -428,15 +417,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None,
     }
     if not quiet:
         print(f"scenario {cfg.scenario} -> {out}")
-    if cfg.scenario in ("fock-entanglement", "coherent-entanglement",
-                        "thermal-entanglement"):
-        _run_entanglement(cfg, out, quiet, manifest)
-    elif cfg.scenario == "open-sweep":
-        _run_open_sweep(cfg, out, quiet, manifest)
-    elif cfg.scenario in ("cat-unconditional", "cat-conditional"):
-        _run_cat(cfg, out, quiet, manifest)
-    else:
-        _run_kitten(cfg, out, quiet, manifest)
+    _RUNNERS[cfg.scenario](cfg, out, quiet, manifest)
     manifest["duration_seconds"] = round(time.perf_counter() - t0, 6)
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -473,6 +454,9 @@ def main(argv=None) -> int:
         return 1
     try:
         run_scenario(cfg, args.out, quiet=args.quiet)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

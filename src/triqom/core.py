@@ -7,11 +7,11 @@ in row-major (C) order, so basis state |q, n, m> sits at index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 SUBSYSTEMS = ("qubit", "cavity", "mech")
 
@@ -299,15 +299,21 @@ def qubit_state(up: complex, down: complex) -> PureState:
     return PureState(_single("qubit", 2), v / nrm)
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Unnormalized Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!), log-stable."""
+def coherent_amplitudes(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
+    """Unnormalized Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!), log-stable.
+
+    Vectorized over `alpha`: the result has shape alpha.shape + (dim,), and each
+    zero amplitude gives the vacuum row.
+    """
+    a = np.asarray(alpha, dtype=complex)
     n = np.arange(dim)
-    if alpha == 0:
-        out = np.zeros(dim, dtype=complex)
-        out[0] = 1.0
-        return out
-    logmag = n * math.log(abs(alpha)) - 0.5 * special.gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
-    return np.exp(logmag + 1j * n * np.angle(alpha))
+    out = np.zeros(a.shape + (dim,), dtype=complex)
+    out[..., 0] = 1.0
+    nz = a != 0
+    r = np.abs(a[nz])[:, None]
+    logmag = np.log(r) * n - 0.5 * special.gammaln(n + 1.0) - 0.5 * r ** 2
+    out[nz] = np.exp(logmag + 1j * (np.angle(a[nz])[:, None] * n))
+    return out
 
 
 def coherent_state(alpha: complex, dim: int, label: str = "cavity",
@@ -460,7 +466,7 @@ def partial_trace(state: PureState | DensityMatrix, keep: Iterable[str]) -> Dens
 
 
 # ---------------------------------------------------------------------------
-# elementary operators (dense; callers needing sparse wrap these)
+# elementary operators (dense) and their lifts to the composite space
 
 def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
@@ -481,15 +487,29 @@ def sigma_minus() -> np.ndarray:
     return out
 
 
+def _lift(op: np.ndarray, cspace: CompositeSpace, label: str) -> sparse.csr_matrix:
+    """CSR of a single-subsystem operator on the full composite space."""
+    if label not in SUBSYSTEMS:
+        raise ValueError(f"unknown subsystem {label!r}")
+    factors = [sparse.identity(d, dtype=complex, format="csr") for d in cspace.dims]
+    factors[SUBSYSTEMS.index(label)] = sparse.csr_matrix(op, dtype=complex)
+    return sparse.kron(factors[0], sparse.kron(factors[1], factors[2]), format="csr")
+
+
 def embed(op: np.ndarray, cspace: CompositeSpace, label: str) -> np.ndarray:
     """Lift a single-subsystem operator to the full composite space."""
-    eye_q = np.eye(2)
-    eye_c = np.eye(cspace.n_cav)
-    eye_m = np.eye(cspace.n_mech)
-    if label == "qubit":
-        return np.kron(op, np.kron(eye_c, eye_m)).astype(complex)
-    if label == "cavity":
-        return np.kron(eye_q, np.kron(op, eye_m)).astype(complex)
-    if label == "mech":
-        return np.kron(eye_q, np.kron(eye_c, op)).astype(complex)
-    raise ValueError(f"unknown subsystem {label!r}")
+    return _lift(op, cspace, label).toarray()
+
+
+def _operators(cspace: CompositeSpace, *names: str) -> list[sparse.csr_matrix]:
+    """The model's single-mode operators lifted to CSR on `cspace`, by name:
+    a and num_c (cavity), b and num_m (mechanics), sz and sm (qubit)."""
+    make = {
+        "a": lambda: _lift(destroy(cspace.n_cav), cspace, "cavity"),
+        "num_c": lambda: _lift(number_op(cspace.n_cav), cspace, "cavity"),
+        "b": lambda: _lift(destroy(cspace.n_mech), cspace, "mech"),
+        "num_m": lambda: _lift(number_op(cspace.n_mech), cspace, "mech"),
+        "sz": lambda: _lift(sigma_z(), cspace, "qubit"),
+        "sm": lambda: _lift(sigma_minus(), cspace, "qubit"),
+    }
+    return [make[name]() for name in names]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 
 from .core import (
     CompositeSpace,
@@ -21,13 +21,10 @@ from .core import (
     ModelParams,
     PureState,
     Space,
+    _operators,
     coherent_amplitudes,
     coherent_dim,
-    destroy,
-    embed,
     mechanics_dim,
-    number_op,
-    sigma_z,
     thermal_density,
 )
 
@@ -62,24 +59,10 @@ def branch_shifts(params: ModelParams, n_cav: int) -> np.ndarray:
 
 def hamiltonian(params: ModelParams, cspace: CompositeSpace, *, as_sparse: bool = False):
     """Full composite-space Hamiltonian matrix (dense ndarray or CSR)."""
-    nc, nm = cspace.n_cav, cspace.n_mech
-    if as_sparse:
-        b = sparse.diags(np.sqrt(np.arange(1, nm)), 1, format="csr").astype(complex)
-        num_m = sparse.diags(np.arange(nm, dtype=float), format="csr").astype(complex)
-        num_c = sparse.diags(np.arange(nc, dtype=float), format="csr").astype(complex)
-        sz = sparse.diags([1.0, -1.0], format="csr").astype(complex)
-        eye_q = sparse.identity(2, format="csr")
-        eye_c = sparse.identity(nc, format="csr")
-        eye_m = sparse.identity(nm, format="csr")
-        pull = params.g * sparse.kron(eye_q, sparse.kron(num_c, eye_m)) + \
-            params.lam * sparse.kron(sz, sparse.kron(eye_c, eye_m))
-        pos = sparse.kron(eye_q, sparse.kron(eye_c, b + b.conj().T))
-        h = sparse.kron(eye_q, sparse.kron(eye_c, num_m)) - (pull @ pos)
-        return h.tocsr()
-    b = destroy(nm)
-    pull = params.g * embed(number_op(nc), cspace, "cavity") + \
-        params.lam * embed(sigma_z(), cspace, "qubit")
-    return embed(number_op(nm), cspace, "mech") - pull @ embed(b + b.conj().T, cspace, "mech")
+    num_c, sz, b, num_m = _operators(cspace, "num_c", "sz", "b", "num_m")
+    pull = params.g * num_c + params.lam * sz
+    h = (num_m - pull @ (b + b.conj().T)).tocsr()
+    return h if as_sparse else h.toarray()
 
 
 def _displacement_factors(t: float, n_mech: int):
@@ -119,24 +102,6 @@ def evolve_unitary(state: PureState, t: float, params: ModelParams) -> PureState
     return PureState(state.space, x.reshape(-1), state.discarded_weight)
 
 
-def _coherent_rows(phis: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of truncated coherent vectors for a batch of amplitudes."""
-    phis = np.asarray(phis, dtype=complex).reshape(-1)
-    m = np.arange(dim)
-    out = np.zeros((phis.size, dim), dtype=complex)
-    nz = phis != 0
-    if np.any(nz):
-        a = phis[nz]
-        logmag = (
-            np.outer(np.log(np.abs(a)), m)
-            - 0.5 * special.gammaln(m + 1.0)[None, :]
-            - 0.5 * (np.abs(a) ** 2)[:, None]
-        )
-        out[nz] = np.exp(logmag + 1j * np.outer(np.angle(a), m))
-    out[~nz, 0] = 1.0
-    return out
-
-
 def _branch_state(qc_weights: np.ndarray, t: float, params: ModelParams,
                   cspace: CompositeSpace) -> PureState:
     """Assemble sum_k w_k |q_k, n_k> (x) exp(i theta_k) |beta e^{-it} + s_k eta>.
@@ -151,7 +116,7 @@ def _branch_state(qc_weights: np.ndarray, t: float, params: ModelParams,
     drive = (e * params.beta).imag
     phases = np.exp(1j * (s * s * tau + s * drive))
     phis = params.beta * np.exp(-1j * t) + s * e
-    rows = _coherent_rows(phis, nm)
+    rows = coherent_amplitudes(phis, nm)
     amp = (qc_weights.reshape(-1) * phases)[:, None] * rows
     vec = amp.reshape(-1)
     captured = float(np.vdot(vec, vec).real)
@@ -188,16 +153,12 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = np.asarray(n)
-    alpha = params.alpha
+    if np.any(n < 0):
+        raise ValueError("photon numbers must be >= 0")
     s = params.g * n + sign * params.lam
     tau = t - math.sin(t)
     drive = (complex(eta(t)) * params.beta).imag
-    if alpha == 0:
-        mag = np.where(n == 0, 1.0, 0.0) / math.sqrt(2.0)
-    else:
-        logmag = n * math.log(abs(alpha)) - 0.5 * special.gammaln(n + 1.0) \
-            - 0.5 * abs(alpha) ** 2
-        mag = np.exp(logmag + 1j * n * np.angle(alpha)) / math.sqrt(2.0)
+    mag = coherent_amplitudes(params.alpha, int(n.max()) + 1)[n] / math.sqrt(2.0)
     return mag * np.exp(1j * (s * s * tau + s * drive))
 
 

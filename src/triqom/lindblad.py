@@ -9,13 +9,25 @@ rates carry the 1/ln((1+n_th)/n_th) thermal factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .core import CompositeSpace, DensityMatrix, ModelParams, partial_trace, tensor
+from .core import (
+    CompositeSpace,
+    DensityMatrix,
+    ModelParams,
+    _operators,
+    coherent_dim,
+    coherent_state,
+    partial_trace,
+    qubit_state,
+    tensor,
+    thermal_density,
+    thermal_dim,
+)
 from .dynamics import Trajectory, hamiltonian
 from .entanglement import negativity
 
@@ -80,27 +92,6 @@ class DissipatorSpec:
             raise ValueError(f"channel {self.label}: rate must be finite and >= 0")
 
 
-def _ops(cspace: CompositeSpace):
-    nc, nm = cspace.n_cav, cspace.n_mech
-    eye_q = sparse.identity(2, format="csr")
-    eye_c = sparse.identity(nc, format="csr")
-    eye_m = sparse.identity(nm, format="csr")
-    b = sparse.diags(np.sqrt(np.arange(1, nm)), 1, format="csr").astype(complex)
-    a = sparse.diags(np.sqrt(np.arange(1, nc)), 1, format="csr").astype(complex)
-    out = {
-        "b": sparse.kron(eye_q, sparse.kron(eye_c, b)).tocsr(),
-        "a": sparse.kron(eye_q, sparse.kron(a, eye_m)).tocsr(),
-        "num_c": sparse.kron(eye_q, sparse.kron(
-            sparse.diags(np.arange(nc, dtype=float)).astype(complex), eye_m)).tocsr(),
-        "sz": sparse.kron(sparse.diags([1.0, -1.0]).astype(complex),
-                          sparse.kron(eye_c, eye_m)).tocsr(),
-    }
-    sm = sparse.csr_matrix(([1.0 + 0.0j], ([1], [0])), shape=(2, 2))
-    out["sm"] = sparse.kron(sm, sparse.kron(eye_c, eye_m)).tocsr()
-    out["sp"] = sparse.kron(sm.conj().T, sparse.kron(eye_c, eye_m)).tocsr()
-    return out
-
-
 def build_dissipators(params: ModelParams, cspace: CompositeSpace,
                       dephasing_rate: float | None = None) -> list[DissipatorSpec]:
     """All jump channels with nonzero rate.
@@ -109,23 +100,24 @@ def build_dissipators(params: ModelParams, cspace: CompositeSpace,
     relaxation/excitation, qubit dephasing (dressed unless `dephasing_rate`
     pins the total directly), and photon-number dephasing.
     """
-    ops = _ops(cspace)
+    b, a, num_c, sz, sm = _operators(cspace, "b", "a", "num_c", "sz", "sm")
     n_th = params.n_th
     n_q = params.qubit_bath_occupancy
     chans: list[DissipatorSpec] = []
     if params.gamma_m > 0:
-        dressed_down = (ops["b"] - params.g * ops["num_c"]).tocsr()
+        dressed_down = (b - params.g * num_c).tocsr()
         chans.append(DissipatorSpec("mech_decay", params.gamma_m * (n_th + 1.0),
                                     dressed_down))
         if n_th > 0:
-            dressed_up = (ops["b"].conj().T.tocsr() - params.g * ops["num_c"]).tocsr()
+            dressed_up = (b.conj().T.tocsr() - params.g * num_c).tocsr()
             chans.append(DissipatorSpec("mech_excite", params.gamma_m * n_th, dressed_up))
     if params.kappa > 0:
-        chans.append(DissipatorSpec("cavity_decay", params.kappa, ops["a"]))
+        chans.append(DissipatorSpec("cavity_decay", params.kappa, a))
     if params.Gamma > 0:
-        chans.append(DissipatorSpec("qubit_decay", params.Gamma * (1.0 + n_q), ops["sm"]))
+        chans.append(DissipatorSpec("qubit_decay", params.Gamma * (1.0 + n_q), sm))
         if n_q > 0:
-            chans.append(DissipatorSpec("qubit_excite", params.Gamma * n_q, ops["sp"]))
+            # sm is real, so its adjoint is its transpose
+            chans.append(DissipatorSpec("qubit_excite", params.Gamma * n_q, sm.T.tocsr()))
     if dephasing_rate is not None:
         gphi = float(dephasing_rate)
     else:
@@ -133,10 +125,10 @@ def build_dissipators(params: ModelParams, cspace: CompositeSpace,
         gphi = params.Gamma_phi + 4.0 * params.gamma_m * params.lam ** 2 \
             * _thermal_log_factor(n_th)
     if gphi > 0:
-        chans.append(DissipatorSpec("qubit_dephasing", 0.5 * gphi, ops["sz"]))
+        chans.append(DissipatorSpec("qubit_dephasing", 0.5 * gphi, sz))
     pd = photon_dephasing_rate(params.gamma_m, params.g, n_th)
     if pd > 0:
-        chans.append(DissipatorSpec("photon_dephasing", pd, ops["num_c"]))
+        chans.append(DissipatorSpec("photon_dephasing", pd, num_c))
     return chans
 
 
@@ -329,7 +321,6 @@ def sweep_initial_state(params: ModelParams, cspace: CompositeSpace | None = Non
     Default truncations follow the coherent/thermal dimension rules; pass a
     `cspace` to bound the mechanics cutoff for hot baths.
     """
-    from .core import coherent_dim, coherent_state, qubit_state, thermal_density, thermal_dim
     if cspace is None:
         cspace = CompositeSpace(coherent_dim(params.alpha),
                                 max(2, thermal_dim(params.n_th)))

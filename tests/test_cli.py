@@ -90,6 +90,47 @@ class TestParseConfig:
             == (0.2, 0.25, 2.0, 2.0)
 
 
+# every key the config format accepts
+ACCEPTED_KEYS = (
+    "scenario", "g", "lambda", "alpha", "beta", "nbar", "kappa", "gamma_m",
+    "Gamma", "Gamma_phi", "n_th", "n_q", "t_start", "t_end", "samples", "l", "p",
+    "out_dir", "n_cav", "n_mech", "dt", "seed", "grid_points", "g_min", "g_max",
+    "g_samples",
+)
+
+SCENARIO_CFGS = {
+    "fock-entanglement": FOCK_CFG,
+    "coherent-entanglement": "scenario = coherent-entanglement\ng = 0.2\n"
+                             "lambda = 0.25\nn_cav = 12\nout_dir = results/coh\n",
+    "thermal-entanglement": "scenario = thermal-entanglement\ng = 0.2\n"
+                            "lambda = 0.25\nnbar = 0.5\nn_q = 0.3\n",
+    "open-sweep": "scenario = open-sweep\ng = 0.1\nlambda = 0.25\nkappa = 1e-2\n"
+                  "Gamma = 1e-3, 1e-2\nGamma_phi = 0, 1e-2\ndt = 5e-3\n",
+    "cat-unconditional": "scenario = cat-unconditional\ng = 0.0125\nlambda = 1\n"
+                         "alpha = 3\nl = 10\np = 5\n",
+    "cat-conditional": "scenario = cat-conditional\ng = 0.0125\nlambda = 1\n"
+                       "alpha = 3\nl = 10\ngrid_points = 81\nseed = 7\n",
+    "kitten-fidelity": "scenario = kitten-fidelity\nlambda = 1\nalpha = 3\n"
+                       "g_min = 0.002\ng_max = 0.03\ng_samples = 9\n",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_CFGS))
+def test_config_echo_round_trip(scenario):
+    cfg = parse_config(SCENARIO_CFGS[scenario])
+    assert cfg.scenario == scenario
+    assert set(cfg.echo) == set(ACCEPTED_KEYS)
+    lines = []
+    for key, value in cfg.echo.items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ", ".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    again = parse_config("\n".join(lines) + "\n")
+    assert again.echo == cfg.echo
+
+
 class TestRunScenarios:
     def test_fock_series_hits_expected_negativity(self, tmp_path):
         code, out = _run(tmp_path, FOCK_CFG)
@@ -194,6 +235,16 @@ class TestExitCodes:
         code, _ = _run(tmp_path, text)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output_is_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FOCK_CFG, encoding="utf-8")
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        for out in (afile, afile / "sub"):
+            code = main(["run", str(cfg), "--out", str(out), "--quiet"])
+            assert code == 1
+            assert "error: cannot write output" in capsys.readouterr().err
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1

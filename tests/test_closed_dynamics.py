@@ -206,6 +206,11 @@ class TestCoherentCoefficients:
                 2.0 * np.array([math.factorial(int(k)) for k in n], dtype=float))
             np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12)
 
+    def test_rejects_negative_photon_number(self):
+        p = ModelParams(g=0.3, lam=0.2, alpha=1.5)
+        with pytest.raises(ValueError, match="photon"):
+            coherent_amplitude_coeff(np.array([2, -1]), +1, 0.0, p)
+
     def test_magnitude_constant_in_time(self):
         p = ModelParams(g=0.25, lam=0.4, alpha=2.0, beta=1.0)
         n = np.arange(10)

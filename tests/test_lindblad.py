@@ -26,7 +26,7 @@ from triqom import (
     tensor,
     thermal_density,
 )
-from triqom.core import embed, destroy, fock_state
+from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition
 
 from conftest import TWO_PI, random_density
@@ -97,6 +97,29 @@ class TestBuildDissipators:
                                    b_full - 0.3 * num_full, rtol=0, atol=1e-14)
         np.testing.assert_allclose(by["mech_excite"].operator.toarray(),
                                    b_full.conj().T - 0.3 * num_full, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("label", [
+        "mech_decay", "mech_excite", "cavity_decay", "qubit_decay",
+        "qubit_excite", "qubit_dephasing", "photon_dephasing"])
+    def test_every_channel_operator(self, label):
+        p = ModelParams(g=0.3, lam=0.25, kappa=0.01, gamma_m=1e-4,
+                        Gamma=1e-3, Gamma_phi=1e-2, n_th=2.0)
+        cs = CompositeSpace(3, 4)
+        b = embed(destroy(4), cs, "mech")
+        num_c = embed(number_op(3), cs, "cavity")
+        sm = embed(sigma_minus(), cs, "qubit")
+        expected = {
+            "mech_decay": b - 0.3 * num_c,
+            "mech_excite": b.conj().T - 0.3 * num_c,
+            "cavity_decay": embed(destroy(3), cs, "cavity"),
+            "qubit_decay": sm,
+            "qubit_excite": sm.conj().T,
+            "qubit_dephasing": embed(sigma_z(), cs, "qubit"),
+            "photon_dephasing": num_c,
+        }[label]
+        by = {c.label: c for c in build_dissipators(p, cs)}
+        np.testing.assert_allclose(by[label].operator.toarray(), expected,
+                                   rtol=0, atol=1e-14)
 
     def test_uncoupled_limit_gives_bare_mechanics(self):
         p = ModelParams(g=0.0, lam=0.25, gamma_m=1e-4, n_th=1.0)
