@@ -457,6 +457,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: problem too large for memory: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DensityMatrix, ModelParams, PureState, partial_trace
+from .core import SUBSYSTEMS, DensityMatrix, ModelParams, PureState, Space, partial_trace
 
 __all__ = [
     "BipartitePartition",
@@ -146,8 +146,30 @@ class EntanglementRecord:
     intrinsic_qc: float
 
 
+def _compress_mechanics(state: PureState | DensityMatrix) -> PureState | DensityMatrix:
+    """Map the mechanics of a pure tripartite state onto the span it touches.
+
+    M = U S V^dagger is the (2 n_cav x n_mech) amplitude matrix and r counts
+    the singular values above numpy's matrix_rank cutoff; U_r S_r differs from
+    M by the isometry V_r on the mechanics alone.
+    """
+    if not isinstance(state, PureState) or state.space.labels != SUBSYSTEMS:
+        return state
+    _, n_cav, n_mech = state.space.dims
+    m = state.amplitudes.reshape(2 * n_cav, n_mech)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    r = max(1, int(np.count_nonzero(s > s[0] * max(m.shape) * np.finfo(float).eps)))
+    return PureState(Space(SUBSYSTEMS, (2, n_cav, r)), u[:, :r] * s[:r],
+                     discarded_weight=state.discarded_weight)
+
+
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:
-    """All pairwise negativities plus the intrinsic measure for a tripartite state."""
+    """All pairwise negativities plus the intrinsic measure for a tripartite state.
+
+    A pure state's mechanics is first compressed to its numerical rank
+    (`_compress_mechanics`), which changes no reported field.
+    """
+    state = _compress_mechanics(state)
     rho_qc = partial_trace(state, ("qubit", "cavity"))
     rho_qo = partial_trace(state, ("qubit", "mech"))
     rho_oc = partial_trace(state, ("cavity", "mech"))

@@ -246,5 +246,16 @@ class TestExitCodes:
             assert code == 1
             assert "error: cannot write output" in capsys.readouterr().err
 
+    def test_out_of_memory_is_exit_one(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 58.2 TiB")
+
+        monkeypatch.setattr("triqom.cli.evolve_thermal", refuse)
+        text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\n"
+                "n_cav = 2\nn_mech = 2000000\nsamples = 2\n")
+        code, _ = _run(tmp_path, text)
+        assert code == 1
+        assert "error: problem too large for memory" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1

@@ -14,11 +14,13 @@ from triqom import (
     entanglement_record,
     evolve_coherent,
     evolve_fock_superposition,
+    evolve_thermal,
     intrinsic_qc_2pi_coherent,
     intrinsic_qc_analytic_fock,
     intrinsic_qc_numeric,
     linear_entropy,
     negativity,
+    partial_trace,
     partial_transpose,
     qubit_cavity_at_cycle,
     tensor,
@@ -240,3 +242,68 @@ class TestRecordsAndFamilies:
         assert len(set(round(x, 9) for x in xs)) == len(xs)
         for (_, n1), (_, n2) in zip(points, points[1:]):
             assert n2 > n1
+
+
+def _uncompressed_record(state, t):
+    """entanglement_record's fields computed on the state exactly as given."""
+    rho_qc = partial_trace(state, ("qubit", "cavity"))
+    rho_qo = partial_trace(state, ("qubit", "mech"))
+    rho_oc = partial_trace(state, ("cavity", "mech"))
+    s_q = linear_entropy(partial_trace(rho_qc, ("qubit",)))
+    s_c = linear_entropy(partial_trace(rho_qc, ("cavity",)))
+    s_o = linear_entropy(partial_trace(rho_qo, ("mech",)))
+    return (float(t), negativity(rho_qc, ("qubit",)), negativity(rho_qo, ("qubit",)),
+            negativity(rho_oc, ("cavity",)), float(s_q + s_c - s_o))
+
+
+def _fields(rec):
+    return (rec.time, rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc)
+
+
+class TestMechanicsCompression:
+    P = ModelParams(g=0.2, lam=0.25, alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("evolve, cspace, t", [
+        (evolve_coherent, CompositeSpace(8, 30), 1.3),
+        (evolve_coherent, CompositeSpace(8, 30), 3.7),
+        (evolve_coherent, CompositeSpace(8, 30), TWO_PI),
+        (evolve_fock_superposition, CompositeSpace(2, 30), 1.3),
+        (evolve_coherent, CompositeSpace(12, 10), 3.7),  # n_mech < 2 n_cav
+    ])
+    def test_pure_record_matches_uncompressed(self, evolve, cspace, t):
+        psi = evolve(t, self.P, cspace)
+        got = _fields(entanglement_record(psi, t))
+        want = _uncompressed_record(psi, t)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+        assert max(want[1:4]) > 1e-3  # not a trivial product state
+
+    def test_density_matrix_is_not_compressed(self):
+        p = ModelParams(g=0.2, lam=0.25, alpha=1.0, nbar_mech=0.5)
+        rho = evolve_thermal(1.3, p, CompositeSpace(6, 20))
+        assert _fields(entanglement_record(rho, 1.3)) == _uncompressed_record(rho, 1.3)
+
+    def _spied_widths(self, monkeypatch, t):
+        import triqom.entanglement as ent
+
+        widths = {}
+        real = ent.negativity
+
+        def spy(state, partition):
+            widths[state.space.labels] = state.space.dim
+            return real(state, partition)
+
+        monkeypatch.setattr(ent, "negativity", spy)
+        p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0)
+        entanglement_record(evolve_coherent(t, p, CompositeSpace(24, 70)), t)
+        return widths
+
+    def test_mechanics_factors_out_at_full_period(self, monkeypatch):
+        widths = self._spied_widths(monkeypatch, TWO_PI)
+        assert widths[("cavity", "mech")] == 24
+        assert widths[("qubit", "mech")] == 2
+        assert widths[("qubit", "cavity")] == 48
+
+    def test_generic_time_keeps_at_most_the_branch_span(self, monkeypatch):
+        widths = self._spied_widths(monkeypatch, 1.3)
+        assert widths[("cavity", "mech")] <= 24 * min(2 * 24, 70)
+        assert widths[("qubit", "mech")] <= 2 * min(2 * 24, 70)
