@@ -195,6 +195,9 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in ("n_cav", "n_mech"):
         if vals[key] is not None and vals[key] < 2:
             raise ValueError(f"key '{key}': must be >= 2, got {vals[key]}")
+    for key in ("Gamma", "Gamma_phi"):
+        if min(vals[key]) < 0:
+            raise ValueError(f"key '{key}': every entry must be >= 0, got {min(vals[key])}")
 
     try:
         params = ModelParams(
@@ -306,12 +309,11 @@ def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path, quiet: bool,
 def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
                     manifest: dict) -> None:
     params = cfg.params
-    n_cav = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha)
-    n_mech = cfg.n_mech if cfg.n_mech is not None else mechanics_dim(params, n_cav)
+    cspace = _closed_spaces(cfg)
     # initial tails loosened: modest cutoffs keep the Liouvillian (d^2 x d^2,
     # d = 2 n_cav n_mech) small, and the lost weight is reported below
-    cav = coherent_state(params.alpha, n_cav, label="cavity", tail_tol=1e-3)
-    mech = coherent_state(params.beta, n_mech, label="mech", tail_tol=1e-3)
+    cav = coherent_state(params.alpha, cspace.n_cav, label="cavity", tail_tol=1e-3)
+    mech = coherent_state(params.beta, cspace.n_mech, label="mech", tail_tol=1e-3)
     rho0 = tensor(qubit_state(1.0, 1.0), cav, mech).density_matrix()
     t_cycle = 2.0 * math.pi * cfg.l
 
@@ -326,7 +328,7 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
                             progress=report)
     _write_csv(out_dir / "sweep.csv", "Gamma,gamma_phi,neg_qc_2pi", rows)
     manifest["outputs"].append("sweep.csv")
-    manifest["truncations"] = {"n_cav": n_cav, "n_mech": n_mech}
+    manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
     manifest["tail_weights"] = {"rho0_discarded_weight": rho0.discarded_weight}
     manifest["results"] = {"neg_qc_2pi_max": max(r[2] for r in rows),
                            "neg_qc_2pi_min": min(r[2] for r in rows)}

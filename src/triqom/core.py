@@ -255,24 +255,27 @@ def thermal_dim(nbar: float) -> int:
     return int(math.ceil(20.0 * (nbar + 1.0)))
 
 
-def mechanics_dim(params: ModelParams, n_cav: int, ceiling: int = 600) -> int:
+_MECH_CEILING = 600
+
+
+def mechanics_dim(params: ModelParams, n_cav: int) -> int:
     """Cutoff absorbing the worst-case conditional displacement of the oscillator.
 
     The coherent orbit conditioned on the top cavity level reaches amplitude
     |beta| + 2*(g*(n_cav-1) + |lam|); thermal initial occupancy adds its own
-    floor.  Values above `ceiling` are clamped with a warning.
+    floor.  Values above 600 levels are clamped with a warning.
     """
     reach = abs(params.beta) + 2.0 * (abs(params.g) * (n_cav - 1) + abs(params.lam))
     dim = coherent_dim(reach)
     if params.nbar_mech > 0:
         dim = max(dim, thermal_dim(params.nbar_mech))
-    if dim > ceiling:
+    if dim > _MECH_CEILING:
         import warnings
 
         warnings.warn(
-            f"mechanics cutoff {dim} exceeds ceiling {ceiling}; clamping", stacklevel=2
+            f"mechanics cutoff {dim} exceeds ceiling {_MECH_CEILING}; clamping", stacklevel=2
         )
-        dim = ceiling
+        dim = _MECH_CEILING
     return dim
 
 

@@ -68,37 +68,52 @@ def hamiltonian(params: ModelParams, cspace: CompositeSpace, *, as_sparse: bool 
 def _displacement_factors(t: float, n_mech: int):
     """Eigen-decomposition of the displacement generator at time t.
 
-    Returns (w, V) with exp(s (eta b' - eta* b)) = V diag(exp(i s w)) V'.
+    Returns (w, V) with exp(s (eta b' - eta* b)) = V diag(exp(i s w)) V'.  At
+    eta = 0 the generator is the zero matrix and eigh returns exactly (0, I).
     """
     e = complex(eta(t))
-    if n_mech == 1 or e == 0:
-        return None
     sq = np.sqrt(np.arange(1, n_mech, dtype=float))
     m = np.zeros((n_mech, n_mech), dtype=complex)
     sub = -1j * e * sq
     m[np.arange(1, n_mech), np.arange(n_mech - 1)] = sub
     m[np.arange(n_mech - 1), np.arange(1, n_mech)] = sub.conj()
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(m)
+
+
+def _branch_phases(s: np.ndarray, t: float, beta: complex) -> np.ndarray:
+    """exp(i (s^2 (t - sin t) + s Im(eta beta))) for joint pulls s.
+
+    beta = 0 gives the phase of the bare propagator; a nonzero beta adds the
+    drive phase a branch picks up from displacing the coherent state |beta>.
+    """
+    tau = t - math.sin(t)
+    drive = (complex(eta(t)) * beta).imag
+    return np.exp(1j * (s * s * tau + s * drive))
+
+
+def _propagate(x: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
+    """Apply the truncated propagator at time t to amplitudes (..., 2 n_cav, n_mech).
+
+    Rows are the (spin, photon) branches in `branch_shifts` order, columns the
+    mechanics Fock levels: free rotation, branch displacement, branch phase.
+    """
+    nc, nm = x.shape[-2] // 2, x.shape[-1]
+    x = x * np.exp(-1j * t * np.arange(nm))
+    s = branch_shifts(params, nc)
+    w, v = _displacement_factors(t, nm)
+    z = x @ v.conj()
+    z *= np.exp(1j * np.outer(s, w))
+    x = z @ v.T
+    x *= _branch_phases(s, t, 0.0)[:, None]
+    return x
 
 
 def evolve_unitary(state: PureState, t: float, params: ModelParams) -> PureState:
     """Apply the exact propagator at time t to a full tripartite pure state."""
     if state.space.labels != ("qubit", "cavity", "mech"):
         raise ValueError("evolve_unitary needs the full qubit-cavity-mech space")
-    dims = state.space.dims
-    nc, nm = dims[1], dims[2]
-    x = state.reshaped().reshape(2 * nc, nm).copy()
-    x *= np.exp(-1j * t * np.arange(nm))[None, :]
-    s = branch_shifts(params, nc)
-    fac = _displacement_factors(t, nm)
-    if fac is not None:
-        w, v = fac
-        z = x @ v.conj()
-        z *= np.exp(1j * np.outer(s, w))
-        x = z @ v.T
-    tau = t - math.sin(t)
-    x *= np.exp(1j * s * s * tau)[:, None]
+    nc, nm = state.space.dims[1], state.space.dims[2]
+    x = _propagate(state.reshaped().reshape(2 * nc, nm), t, params)
     return PureState(state.space, x.reshape(-1), state.discarded_weight)
 
 
@@ -111,11 +126,8 @@ def _branch_state(qc_weights: np.ndarray, t: float, params: ModelParams,
     """
     nc, nm = cspace.n_cav, cspace.n_mech
     s = branch_shifts(params, nc)
-    e = complex(eta(t))
-    tau = t - math.sin(t)
-    drive = (e * params.beta).imag
-    phases = np.exp(1j * (s * s * tau + s * drive))
-    phis = params.beta * np.exp(-1j * t) + s * e
+    phases = _branch_phases(s, t, params.beta)
+    phis = params.beta * np.exp(-1j * t) + s * complex(eta(t))
     rows = coherent_amplitudes(phis, nm)
     amp = (qc_weights.reshape(-1) * phases)[:, None] * rows
     vec = amp.reshape(-1)
@@ -156,10 +168,8 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
     if np.any(n < 0):
         raise ValueError("photon numbers must be >= 0")
     s = params.g * n + sign * params.lam
-    tau = t - math.sin(t)
-    drive = (complex(eta(t)) * params.beta).imag
     mag = coherent_amplitudes(params.alpha, int(n.max()) + 1)[n] / math.sqrt(2.0)
-    return mag * np.exp(1j * (s * s * tau + s * drive))
+    return mag * _branch_phases(s, t, params.beta)
 
 
 def evolve_coherent(t: float, params: ModelParams,
@@ -175,21 +185,16 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
                           n_cav: int | None = None) -> PureState:
     """Pure qubit-cavity state after l full mechanical periods (t = 2 pi l).
 
-    The oscillator factors out exactly; each photon branch keeps the phase
-    exp(i (g n +/- lam)^2 2 pi l) on its spin component.
+    The oscillator factors out exactly (eta vanishes); each photon branch keeps
+    the phase exp(i (g n +/- lam)^2 2 pi l) on its spin component.
     """
     if l < 0 or int(l) != l:
         raise ValueError("cycle count l must be a nonnegative integer")
     if n_cav is None:
         n_cav = coherent_dim(params.alpha)
-    n = np.arange(n_cav)
-    tau = 2.0 * math.pi * l
     c = coherent_amplitudes(params.alpha, n_cav) / math.sqrt(2.0)
-    s_up = params.g * n + params.lam
-    s_dn = params.g * n - params.lam
-    amp = np.stack([c * np.exp(1j * s_up * s_up * tau),
-                    c * np.exp(1j * s_dn * s_dn * tau)])
-    vec = amp.reshape(-1)
+    s = branch_shifts(params, n_cav)
+    vec = np.tile(c, 2) * _branch_phases(s, 2.0 * math.pi * l, params.beta)
     nrm = np.linalg.norm(vec)
     space = Space(("qubit", "cavity"), (2, n_cav))
     return PureState(space, vec / nrm, discarded_weight=max(0.0, 1.0 - float(nrm) ** 2))
@@ -200,8 +205,8 @@ def evolve_thermal(t: float, params: ModelParams,
     """Full tripartite state at time t for thermal initial mechanics.
 
     Initial state: qubit (up+down)/sqrt2, cavity |alpha>, mechanics thermal at
-    nbar_mech.  Computed by conjugating the product density matrix with the
-    exact propagator, block by block over the conserved (spin, photon) labels.
+    nbar_mech.  Computed as the thermal mixture sum_m p_m |psi_m><psi_m| of the
+    exact truncated propagator applied to psi_qc (x) |m>, one column per level.
     """
     if cspace is None:
         cspace = default_composite_space(params, family="thermal")
@@ -211,35 +216,10 @@ def evolve_thermal(t: float, params: ModelParams,
     psi_qc = np.concatenate([cav, cav]) / math.sqrt(2.0)
     psi_qc /= np.linalg.norm(psi_qc)
     th = thermal_density(params.nbar_mech, nm)
-    p = np.diag(th.matrix).real.copy()
-
-    s = branch_shifts(params, nc)
-    tau = t - math.sin(t)
-    phases = np.exp(1j * s * s * tau)
-    fac = _displacement_factors(t, nm)
-    if fac is None:
-        dmats = None
-    else:
-        w, v = fac
-        vh = v.conj().T
-        dmats = np.empty((2 * nc, nm, nm), dtype=complex)
-        for k in range(2 * nc):
-            dmats[k] = (v * np.exp(1j * s[k] * w)[None, :]) @ vh
-
-    dim = 2 * nc * nm
-    rho = np.empty((dim, dim), dtype=complex)
-    blk = rho.reshape(2 * nc, nm, 2 * nc, nm)
-    for k in range(2 * nc):
-        ak = (dmats[k] * p[None, :]) if dmats is not None else np.diag(p).astype(complex)
-        for j in range(k, 2 * nc):
-            c = psi_qc[k] * np.conj(psi_qc[j]) * phases[k] * np.conj(phases[j])
-            if dmats is not None:
-                block = c * (ak @ dmats[j].conj().T)
-            else:
-                block = c * ak
-            blk[k, :, j, :] = block
-            if j != k:
-                blk[j, :, k, :] = block.conj().T
+    p = np.diag(th.matrix).real
+    x = psi_qc[None, :, None] * np.diag(np.sqrt(p))[:, None, :]
+    y = _propagate(x, t, params).reshape(nm, -1)
+    rho = y.T @ y.conj()
     w_total = 1.0 - (1.0 - cav_tail) * (1.0 - th.discarded_weight)
     return DensityMatrix(cspace.space, rho, discarded_weight=w_total)
 
@@ -264,8 +244,7 @@ class Trajectory:
         return len(self.times)
 
 
-def default_composite_space(params: ModelParams, family: str = "coherent",
-                            ceiling: int = 600) -> CompositeSpace:
+def default_composite_space(params: ModelParams, family: str = "coherent") -> CompositeSpace:
     """Truncation defaults: Poisson tail rule for the cavity, worst-case
     displacement reach (plus any thermal floor) for the mechanics."""
     if family == "fock":
@@ -274,4 +253,4 @@ def default_composite_space(params: ModelParams, family: str = "coherent",
         n_cav = coherent_dim(params.alpha)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return CompositeSpace(n_cav, mechanics_dim(params, n_cav, ceiling=ceiling))
+    return CompositeSpace(n_cav, mechanics_dim(params, n_cav))

@@ -120,6 +120,8 @@ def build_dissipators(params: ModelParams, cspace: CompositeSpace,
             chans.append(DissipatorSpec("qubit_excite", params.Gamma * n_q, sm.T.tocsr()))
     if dephasing_rate is not None:
         gphi = float(dephasing_rate)
+        if not gphi >= 0:  # NaN fails too
+            raise ValueError(f"dephasing_rate must be >= 0, got {gphi}")
     else:
         # analytic n_th -> 0 limit: the induced part vanishes with 1/ln((1+n)/n)
         gphi = params.Gamma_phi + 4.0 * params.gamma_m * params.lam ** 2 \

@@ -236,6 +236,16 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_sweep_rate_entry_is_validation_error(self, tmp_path, capsys):
+        # a negative entry after the first one must fail before any cell runs
+        base = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.5\n"
+                "beta = 0.5\nn_cav = 4\nn_mech = 4\n")
+        for key, rates in (("Gamma_phi", "0.0, -0.5"), ("Gamma", "0.0, -1.0")):
+            code, out = _run(tmp_path, base + f"{key} = {rates}\n")
+            assert code == 1
+            assert f"'{key}'" in capsys.readouterr().err
+            assert not (out / "sweep.csv").exists()
+
     def test_unwritable_output_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FOCK_CFG, encoding="utf-8")

@@ -344,6 +344,21 @@ class TestEvolveThermal:
         rho_qc = partial_trace(rho, ("qubit", "cavity"))
         assert rho_qc.purity() < 0.99
 
+    @pytest.mark.parametrize("t", [1.3, 3.7, TWO_PI])
+    def test_matches_dense_propagation_oracle(self, t):
+        # rho(t) = U rho0 U' with U from the dense Hamiltonian's eigenbasis
+        p = ModelParams(g=0.2, lam=0.25, alpha=0.8, nbar_mech=0.3)
+        nc, nm = 6, 30
+        c = coherent_vec(0.8, nc)
+        psi_qc = np.kron(np.array([1.0, 1.0]), c)
+        psi_qc /= np.linalg.norm(psi_qc)
+        occ = (0.3 / 1.3) ** np.arange(nm)
+        rho0 = np.kron(np.outer(psi_qc, psi_qc.conj()), np.diag(occ / occ.sum()))
+        evals, vecs = np.linalg.eigh(dense_hamiltonian(p.g, p.lam, nc, nm))
+        u = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+        rho = evolve_thermal(t, p, CompositeSpace(nc, nm)).matrix
+        np.testing.assert_allclose(rho, u @ rho0 @ u.conj().T, rtol=0, atol=1e-6)
+
     def test_mechanics_returns_to_thermal(self):
         p = ModelParams(g=0.2, lam=0.25, alpha=1.0, nbar_mech=1.5)
         cs = CompositeSpace(10, 60)

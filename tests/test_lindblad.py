@@ -144,6 +144,11 @@ class TestBuildDissipators:
               build_dissipators(p, CompositeSpace(3, 4), dephasing_rate=0.07)}
         assert abs(by["qubit_dephasing"].rate - 0.035) < 1e-18
 
+    def test_rejects_negative_dephasing_override(self):
+        p = ModelParams(g=0.2, lam=0.25)
+        with pytest.raises(ValueError, match="dephasing_rate"):
+            build_dissipators(p, CompositeSpace(3, 4), dephasing_rate=-0.5)
+
     def test_rejects_negative_rate(self):
         from triqom import DissipatorSpec
         from scipy import sparse
