@@ -362,10 +362,11 @@ def thermal_density(nbar: float, dim: int, label: str = "mech",
 
 def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
                    tail_tol: float = 1e-6) -> PureState:
-    """Displaced Fock state D(alpha)|n> by its exact double-sum expansion.
+    """Displaced Fock state D(alpha)|n> = (a' - conj(alpha))^n / sqrt(n!) |alpha>.
 
-    The coefficient of |m> is a sum over j <= n of alternating terms built from
-    alpha^(m-n+j) (-conj(alpha))^j and factorial ratios, evaluated in log space.
+    n steps of that ladder recurrence, started from `coherent_amplitudes`.  The
+    raising operator only moves weight upward, so every kept level is exact and
+    the lost weight is the tail beyond `dim`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -373,24 +374,11 @@ def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
         raise ValueError("dim must be >= 1")
     if n >= dim:
         raise ValueError(f"Fock index {n} outside dim {dim}")
-    if alpha == 0:
-        return fock_state(n, dim, label)
-    la = math.log(abs(alpha))
-    pa = np.angle(alpha)
-    # phases: alpha^r (-conj(alpha))^j = |a|^(r+j) e^{i r pa} e^{i j (pi - pa)}
-    coeffs = np.zeros(dim, dtype=complex)
-    lg = special.gammaln(np.arange(dim + n + 2) + 1.0)
-    half_lg_n = 0.5 * lg[n]
-    for m in range(dim):
-        j_lo = max(0, n - m)
-        total = 0.0 + 0.0j
-        for j in range(j_lo, n + 1):
-            r = m - n + j
-            logmag = (r + j) * la + 0.5 * lg[m] + half_lg_n - lg[r] - lg[j] - lg[n - j]
-            phase = r * pa + j * (math.pi - pa)
-            total += np.exp(logmag + 1j * phase)
-        coeffs[m] = total
-    coeffs *= math.exp(-0.5 * abs(alpha) ** 2)
+    coeffs = coherent_amplitudes(alpha, dim)
+    sq = np.sqrt(np.arange(1, dim))
+    for k in range(1, n + 1):
+        raised = np.concatenate(([0.0], sq * coeffs[:-1]))
+        coeffs = (raised - np.conj(alpha) * coeffs) / math.sqrt(k)
     captured = float(np.vdot(coeffs, coeffs).real)
     tail = max(0.0, 1.0 - captured)
     if tail > tail_tol:

@@ -196,6 +196,8 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
     s = branch_shifts(params, n_cav)
     vec = np.tile(c, 2) * _branch_phases(s, 2.0 * math.pi * l, params.beta)
     nrm = np.linalg.norm(vec)
+    if nrm == 0:
+        raise ValueError("state lost entirely to truncation")
     space = Space(("qubit", "cavity"), (2, n_cav))
     return PureState(space, vec / nrm, discarded_weight=max(0.0, 1.0 - float(nrm) ** 2))
 

@@ -20,13 +20,11 @@ from .core import (
     DensityMatrix,
     ModelParams,
     _operators,
-    coherent_dim,
     coherent_state,
     partial_trace,
     qubit_state,
     tensor,
     thermal_density,
-    thermal_dim,
 )
 from .dynamics import Trajectory, hamiltonian
 from .entanglement import negativity
@@ -244,9 +242,15 @@ def _expm_action(lio: sparse.csr_matrix, norm1: float, span: float,
     return v
 
 
+# every propagated sample must keep its trace within _TRACE_TOL of 1 and no
+# eigenvalue below _POSITIVITY_TOL
+_TRACE_TOL = 1e-6
+_POSITIVITY_TOL = -1e-6
+
+
 @dataclass(frozen=True)
 class OpenSystemConfig:
-    """Runtime safety checks for `integrate`.
+    """Settings for `integrate`.
 
     `dt` is accepted and validated (it must be positive and finite) but no
     longer affects the result: the propagator reaches every sample time
@@ -254,9 +258,6 @@ class OpenSystemConfig:
     """
 
     dt: float = 1e-3
-    trace_tol: float = 1e-6
-    positivity_tol: float = -1e-6
-    check_positivity: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
@@ -265,15 +266,14 @@ class OpenSystemConfig:
 
 def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
               config: OpenSystemConfig | None = None,
-              dissipators: Sequence[DissipatorSpec] | None = None,
-              progress: Callable[[float], None] | None = None) -> Trajectory:
+              dissipators: Sequence[DissipatorSpec] | None = None) -> Trajectory:
     """Propagate the master equation from t = 0 and sample at `times`.
 
     The generator does not depend on time, so each sample is exp((t_k -
     t_{k-1}) L) applied to the previous one, computed as a scaled truncated
     Taylor series with a 2^-53 backward-error bound (`config.dt` plays no
     part).  Each propagated sample is symmetrized once and checked for trace
-    drift and (optionally) positivity.  Sample times must be nonnegative and
+    drift and positivity.  Sample times must be nonnegative and
     strictly increasing.
     """
     if config is None:
@@ -299,33 +299,22 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
             mat = 0.5 * (mat + mat.conj().T)
             t_now = target
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > config.trace_tol:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise IntegrationError(
                 f"trace drift {tr - 1.0:.3e} at t = {t_now:.6f} exceeds "
-                f"{config.trace_tol:.1e}")
-        if config.check_positivity:
-            w_min = float(np.linalg.eigvalsh(mat).min())
-            if w_min < config.positivity_tol:
-                raise IntegrationError(
-                    f"negative eigenvalue {w_min:.3e} at t = {t_now:.6f} beyond "
-                    f"{config.positivity_tol:.1e}")
+                f"{_TRACE_TOL:.1e}")
+        w_min = float(np.linalg.eigvalsh(mat).min())
+        if w_min < _POSITIVITY_TOL:
+            raise IntegrationError(
+                f"negative eigenvalue {w_min:.3e} at t = {t_now:.6f} beyond "
+                f"{_POSITIVITY_TOL:.1e}")
         samples.append(DensityMatrix(rho0.space, mat,
                                      discarded_weight=rho0.discarded_weight))
-        if progress is not None:
-            progress(t_now)
     return Trajectory(tuple(times), tuple(samples))
 
 
-def sweep_initial_state(params: ModelParams, cspace: CompositeSpace | None = None
-                        ) -> DensityMatrix:
-    """(|up> + |down>)/sqrt2 x |alpha> x thermal(n_th), the sweep starting point.
-
-    Default truncations follow the coherent/thermal dimension rules; pass a
-    `cspace` to bound the mechanics cutoff for hot baths.
-    """
-    if cspace is None:
-        cspace = CompositeSpace(coherent_dim(params.alpha),
-                                max(2, thermal_dim(params.n_th)))
+def sweep_initial_state(params: ModelParams, cspace: CompositeSpace) -> DensityMatrix:
+    """(|up> + |down>)/sqrt2 x |alpha> x thermal(n_th) on the truncations of `cspace`."""
     q = qubit_state(1.0, 1.0).density_matrix()
     cav = coherent_state(params.alpha, cspace.n_cav, label="cavity").density_matrix()
     mech = thermal_density(params.n_th, cspace.n_mech, label="mech")
@@ -333,7 +322,7 @@ def sweep_initial_state(params: ModelParams, cspace: CompositeSpace | None = Non
 
 
 def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[float],
-                     params: ModelParams, rho0: DensityMatrix | None = None,
+                     params: ModelParams, rho0: DensityMatrix,
                      t_cycle: float = 2.0 * math.pi,
                      config: OpenSystemConfig | None = None,
                      progress: Callable[[float, float, float], None] | None = None
@@ -341,12 +330,9 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
     """Qubit-cavity negativity after one period for each (Gamma, gamma_phi) cell.
 
     gamma_phi values are the total qubit dephasing rates (the dressed rate is
-    pinned, not re-derived from a bare rate).  Cells are independent; rows come
-    out with Gamma as the outer loop.  Without an explicit rho0 the sweep starts
-    from sweep_initial_state(params).
+    pinned, not re-derived from a bare rate).  Cells are independent, all
+    starting from rho0; rows come out with Gamma as the outer loop.
     """
-    if rho0 is None:
-        rho0 = sweep_initial_state(params)
     rows: list[tuple[float, float, float]] = []
     dims = rho0.space.dims
     cspace = CompositeSpace(dims[1], dims[2])

@@ -1,6 +1,10 @@
 """Cavity phase-space diagnostics: Wigner function, cat-state generation at
 full mechanical periods, and displaced-Fock fidelity tools.
 
+Every full-period cavity state comes from `dynamics.qubit_cavity_at_cycle`:
+the unconditional state is its cavity reduction, and the measured states are
+its contractions with the qubit outcomes (up +/- down)/sqrt2.
+
 Quadratures follow x = (a + a')/sqrt(2), y = i(a' - a)/sqrt(2), so the Wigner
 function integrates to 1 over dx dy, peaks at 1/pi for the vacuum, and is
 bounded by 1/pi in magnitude.
@@ -17,10 +21,11 @@ from .core import (
     ModelParams,
     PureState,
     Space,
-    coherent_amplitudes,
     coherent_dim,
     displaced_fock,
+    partial_trace,
 )
+from .dynamics import qubit_cavity_at_cycle
 
 __all__ = [
     "WignerGrid",
@@ -124,65 +129,45 @@ def default_axis(alpha: complex, count: int = 201) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cavity states at full mechanical periods
 
-def _cycle_weights(l: int, params: ModelParams, dim: int):
-    n = np.arange(dim)
-    kerr = np.exp(2j * math.pi * l * params.g ** 2 * n * n)
-    angle = 4.0 * math.pi * params.g * l * params.lam * n
-    return n, kerr, angle
+def _cycle(l: int, params: ModelParams, dim: int | None,
+           sign: int = +1) -> PureState:
+    """`qubit_cavity_at_cycle` for l >= 1 periods, after checking l and sign."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if l < 1 or int(l) != l:
+        raise ValueError("cycle count l must be a positive integer")
+    return qubit_cavity_at_cycle(l, params, dim)
 
 
 def cavity_unconditional(l: int, params: ModelParams,
                          dim: int | None = None) -> DensityMatrix:
-    """Cavity state after l periods with the qubit left unmeasured.
+    """Cavity state after l periods with the qubit left unmeasured: the cavity
+    reduction of `qubit_cavity_at_cycle`."""
+    return partial_trace(_cycle(l, params, dim), ("cavity",))
 
-    Matrix elements carry the photon-number Kerr phase and a cosine envelope
-    from averaging the two spin branches.
-    """
-    if l < 1 or int(l) != l:
-        raise ValueError("cycle count l must be a positive integer")
-    if dim is None:
-        dim = coherent_dim(params.alpha)
-    cav = coherent_amplitudes(params.alpha, dim)
-    n, kerr, angle = _cycle_weights(l, params, dim)
-    base = np.outer(cav * kerr, (cav * kerr).conj())
-    mat = base * np.cos(angle[:, None] - angle[None, :])
-    tr = float(np.trace(mat).real)
-    if tr <= 0:
-        raise ValueError("state lost entirely to truncation")
-    return DensityMatrix(Space(("cavity",), (dim,)), mat / tr,
-                         discarded_weight=max(0.0, 1.0 - tr))
+
+def _projected(l: int, params: ModelParams, sign: int,
+               dim: int | None) -> np.ndarray:
+    """Unnormalized cavity amplitudes <(up + sign*down)/sqrt2| psi_qc>."""
+    up, down = _cycle(l, params, dim, sign).reshaped()
+    return (up + sign * down) / math.sqrt(2.0)
 
 
 def projection_probability(l: int, params: ModelParams, sign: int = +1,
                            dim: int | None = None) -> float:
     """Probability of finding the qubit along (up + sign*down)/sqrt2 after l periods."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if dim is None:
-        dim = coherent_dim(params.alpha)
-    cav = coherent_amplitudes(params.alpha, dim)
-    _, _, angle = _cycle_weights(l, params, dim)
-    env = np.cos(angle) if sign == +1 else np.sin(angle)
-    return float(np.sum(np.abs(cav) ** 2 * env * env))
+    vec = _projected(l, params, sign, dim)
+    return float(np.vdot(vec, vec).real)
 
 
 def projected_qubit_state(l: int, params: ModelParams, sign: int = +1,
                           dim: int | None = None) -> PureState:
     """Normalized cavity state conditioned on the qubit outcome (up + sign*down)/sqrt2."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if l < 1 or int(l) != l:
-        raise ValueError("cycle count l must be a positive integer")
-    if dim is None:
-        dim = coherent_dim(params.alpha)
-    cav = coherent_amplitudes(params.alpha, dim)
-    _, kerr, angle = _cycle_weights(l, params, dim)
-    env = np.cos(angle) if sign == +1 else 1j * np.sin(angle)
-    vec = cav * kerr * env
+    vec = _projected(l, params, sign, dim)
     prob = float(np.vdot(vec, vec).real)
     if prob < 1e-12:
         raise ValueError(f"projection probability {prob:.3e} vanishes")
-    return PureState(Space(("cavity",), (dim,)), vec / math.sqrt(prob))
+    return PureState(Space(("cavity",), (vec.size,)), vec / math.sqrt(prob))
 
 
 def cavity_projected_plus(l: int, params: ModelParams,

@@ -113,6 +113,15 @@ class TestUnconditionalCavity:
     def test_rejects_bad_cycle(self):
         with pytest.raises(ValueError):
             cavity_unconditional(0, ModelParams(g=0.1, lam=0.1))
+        p = ModelParams(g=0.0125, lam=1.0, alpha=3.0)
+        for l in (0, 1.5):
+            with pytest.raises(ValueError):
+                projection_probability(l, p)
+
+    def test_rejects_state_lost_to_truncation(self):
+        # every kept amplitude of |alpha = 50> underflows to zero on 3 levels
+        with pytest.raises(ValueError, match="truncation"):
+            cavity_unconditional(1, ModelParams(g=0.1, lam=0.1, alpha=50.0), dim=3)
 
 
 class TestProjectedCavity:

@@ -127,6 +127,14 @@ def test_displaced_fock_against_matrix_exponential():
     big = displacement_dense(3.0, dim + 25)[:, 1]
     ref = big[:dim] / np.linalg.norm(big[:dim])
     assert np.max(np.abs(st.amplitudes - ref)) < 1e-8
+    # |alpha| up to 4 on the real, imaginary and diagonal directions, n <= 4
+    for alpha in (4.0, 3j, -2.5 + 2.5j):
+        dim = coherent_dim(alpha) + 8
+        big = displacement_dense(alpha, dim + 25)
+        for n in range(5):
+            st = displaced_fock(alpha, n, dim)
+            ref = big[:dim, n] / np.linalg.norm(big[:dim, n])
+            assert np.max(np.abs(st.amplitudes - ref)) < 1e-8
 
 
 def test_displaced_fock_rejects_small_dim():
