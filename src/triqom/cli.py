@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 import time
@@ -45,6 +46,9 @@ from .nonclassical import (
 )
 
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "main"]
+
+# progress messages; `main` shows them on stdout unless --quiet
+log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -283,7 +287,7 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     return CompositeSpace(n_cav, n_mech)
 
 
-def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path, quiet: bool,
+def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path,
                       manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
     ts = _time_grid(cfg)
@@ -295,8 +299,8 @@ def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path, quiet: bool,
         rec = entanglement_record(state, float(t))
         rows.append((rec.time, rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc))
         max_discard = max(max_discard, state.discarded_weight)
-        if not quiet and (i % stride == 0 or i == cfg.samples - 1):
-            print(f"  t = {t:9.5f}   neg_qc = {rec.neg_qc:.6f}")
+        if i % stride == 0 or i == cfg.samples - 1:
+            log.info("  t = %9.5f   neg_qc = %.6f", t, rec.neg_qc)
     _write_csv(out_dir / "entanglement.csv",
                "t,neg_qc,neg_qo,neg_oc,intrinsic_qc", rows)
     manifest["outputs"].append("entanglement.csv")
@@ -304,10 +308,13 @@ def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path, quiet: bool,
     manifest["tail_weights"] = {"max_discarded_weight": max_discard}
     manifest["results"] = {"neg_qc_final": rows[-1][1],
                            "intrinsic_qc_final": rows[-1][4]}
+    if cfg.scenario == "thermal-entanglement":
+        # S_q + S_c - S_o is a pure-state measure; with thermal mechanics it
+        # is offset by the mechanics' own linear entropy (-0.5 at t = 0, nbar = 0.5)
+        manifest["results"]["intrinsic_qc_offset_by_mech_entropy"] = True
 
 
-def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
-                    manifest: dict) -> None:
+def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     cspace = _closed_spaces(cfg)
     # initial tails loosened: modest cutoffs keep the Liouvillian (d^2 x d^2,
@@ -318,9 +325,8 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
     t_cycle = 2.0 * math.pi * cfg.l
 
     def report(G, gphi, neg):
-        if not quiet:
-            print(f"  Gamma = {G:g}  gamma_phi = {gphi:g}  ->  "
-                  f"neg_qc({cfg.l} cycle) = {neg:.6f}")
+        log.info("  Gamma = %g  gamma_phi = %g  ->  neg_qc(%d cycle) = %.6f",
+                 G, gphi, cfg.l, neg)
 
     rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
                             t_cycle=t_cycle,
@@ -334,8 +340,7 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
                            "neg_qc_2pi_min": min(r[2] for r in rows)}
 
 
-def _run_cat(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
-             manifest: dict) -> None:
+def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     dim = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha)
     axis = default_axis(params.alpha, cfg.grid_points)
@@ -363,32 +368,30 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
             cfg.l, params, -1, dim)
         results["lobe_count"] = radial_lobe_count(proj, r_max)
         tails = {"state_discarded_weight": unc.discarded_weight}
-    if not quiet:
-        print(f"  min Wigner value = {results['min_wigner']:.6g}")
-        print(f"  lobes above 10% of peak = {results['lobe_count']}")
+    log.info("  min Wigner value = %.6g", results["min_wigner"])
+    log.info("  lobes above 10%% of peak = %d", results["lobe_count"])
     manifest["truncations"] = {"n_cav": dim}
     manifest["tail_weights"] = tails
     manifest["results"] = results
 
 
-def _run_kitten(cfg: ScenarioConfig, out_dir: Path, quiet: bool,
-                manifest: dict) -> None:
+def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     dim = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha) + 5
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     rows = []
+    max_discard = 0.0
     for g in gs:
         p = params.with_rates(g=float(g))
         state = projected_qubit_state(cfg.l, p, +1, dim)
         rows.append((float(g), fidelity_displaced_fock(state, params.alpha, 1)))
+        max_discard = max(max_discard, state.discarded_weight)
     best = max(range(len(rows)), key=lambda i: rows[i][1])
-    if not quiet:
-        print(f"  best grid point: g = {rows[best][0]:.6g}  "
-              f"fidelity = {rows[best][1]:.6f}")
+    log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
     _write_csv(out_dir / "fidelity.csv", "g,fidelity", rows)
     manifest["outputs"].append("fidelity.csv")
     manifest["truncations"] = {"n_cav": dim}
-    manifest["tail_weights"] = {}
+    manifest["tail_weights"] = {"max_discarded_weight": max_discard}
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 
@@ -405,9 +408,11 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None,
-                 quiet: bool = False) -> dict:
-    """Execute one scenario, writing data files and manifest.json to out_dir."""
+def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> dict:
+    """Execute one scenario, writing data files and manifest.json to out_dir.
+
+    Progress goes to the `triqom.cli` logger at INFO level.
+    """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -417,16 +422,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None,
         "config": cfg.echo,
         "outputs": [],
     }
-    if not quiet:
-        print(f"scenario {cfg.scenario} -> {out}")
-    _RUNNERS[cfg.scenario](cfg, out, quiet, manifest)
+    log.info("scenario %s -> %s", cfg.scenario, out)
+    _RUNNERS[cfg.scenario](cfg, out, manifest)
     manifest["duration_seconds"] = round(time.perf_counter() - t0, 6)
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    if not quiet:
-        print(f"wrote {', '.join(manifest['outputs'])} and manifest.json "
-              f"in {manifest['duration_seconds']:.2f} s")
+    log.info("wrote %s and manifest.json in %.2f s",
+             ", ".join(manifest["outputs"]), manifest["duration_seconds"])
     return manifest
 
 
@@ -454,8 +457,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # progress on stdout, or nowhere with --quiet; restored after the run
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    if not args.quiet:
+        log.addHandler(handler)
     try:
-        run_scenario(cfg, args.out, quiet=args.quiet)
+        run_scenario(cfg, args.out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -465,6 +475,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     return 0
 
 

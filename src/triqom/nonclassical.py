@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core import (
     DensityMatrix,
@@ -86,29 +87,45 @@ def _cavity_matrix(state: PureState | DensityMatrix) -> np.ndarray:
 def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarray:
     """Wigner function at arbitrary complex phase-space points (x + i y)/sqrt(2).
 
-    Iterative displaced-Fock recurrence over the density-matrix entries; real
-    output by construction, O(dim^2) grid passes.
+    Laguerre form of the Fock-basis Wigner functions (Cahill & Glauber 1969):
+    with x = |2a|^2 and 2a = sqrt(x) e^{i theta},
+
+        W(a) = (1/pi) Re sum_d (2 - delta_d0) e^{i d theta} c_d(x),
+        c_d(x) = sum_m rho[m, m+d] (-1)^m e^{-x/2} x^{d/2} l_m^(d)(x),
+
+    where l_m^(d) = sqrt(m!/(m+d)!) L_m^(d) are normalized Laguerre
+    polynomials, so every term is bounded by one.  The radial sums c_d run a
+    three-term recurrence in m once per distinct x (points grouped exactly,
+    without rounding); the angular sum is Horner's rule in e^{i theta}, one
+    pass over the points per diagonal d.  Output is real, shaped like `points`.
     """
     rho = _cavity_matrix(state)
     dim = rho.shape[0]
     a = np.asarray(points, dtype=complex)
-    two_a = 2.0 * a
-    row_prev = np.empty((dim,) + a.shape, dtype=complex)
-    row_cur = np.empty_like(row_prev)
-    row_prev[0] = np.exp(-0.5 * np.abs(two_a) ** 2) / math.pi
-    total = rho[0, 0].real * row_prev[0].real
-    for n in range(1, dim):
-        row_prev[n] = two_a * row_prev[n - 1] / math.sqrt(n)
-        total = total + 2.0 * (rho[0, n] * row_prev[n]).real
+    two_a = 2.0 * a.ravel()
+    norm = np.abs(two_a)
+    radius, inverse = np.unique(norm ** 2, return_inverse=True)
+    d = np.arange(dim)[:, None]
+    # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows
+    cur = np.exp(special.xlogy(0.5 * d, radius) - 0.5 * radius
+                 - 0.5 * special.gammaln(d + 1.0))
+    prev = np.zeros_like(cur)
+    coeff = rho[0, :, None] * cur
     for m in range(1, dim):
-        sq_m = math.sqrt(m)
-        row_cur[m] = (two_a.conj() * row_prev[m] - sq_m * row_prev[m - 1]) / sq_m
-        total = total + (rho[m, m] * row_cur[m]).real
-        for n in range(m + 1, dim):
-            row_cur[n] = (two_a * row_cur[n - 1] - sq_m * row_prev[n - 1]) / math.sqrt(n)
-            total = total + 2.0 * (rho[m, n] * row_cur[n]).real
-        row_prev, row_cur = row_cur, row_prev
-    return total
+        k = dim - m  # diagonals d < k still have a term rho[m, m+d]
+        dk = d[:k]
+        nxt = ((2 * m - 1 + dk - radius) * cur[:k]
+               - np.sqrt((m - 1) * (m - 1 + dk)) * prev[:k]) / np.sqrt(m * (m + dk))
+        prev, cur = cur[:k], nxt
+        coeff[:k] += (-1) ** m * rho[m, m:, None] * cur
+    coeff[1:] *= 2.0
+    # e^{i theta}; 0 at the origin, where every c_d with d > 0 vanishes
+    phase = two_a / np.where(norm == 0.0, 1.0, norm)
+    total = coeff[dim - 1][inverse]
+    for k in range(dim - 2, -1, -1):
+        total *= phase
+        total += coeff[k][inverse]
+    return (total.real / math.pi).reshape(a.shape)
 
 
 def wigner(state: PureState | DensityMatrix, x_axis: np.ndarray,
@@ -147,27 +164,33 @@ def cavity_unconditional(l: int, params: ModelParams,
 
 
 def _projected(l: int, params: ModelParams, sign: int,
-               dim: int | None) -> np.ndarray:
-    """Unnormalized cavity amplitudes <(up + sign*down)/sqrt2| psi_qc>."""
-    up, down = _cycle(l, params, dim, sign).reshaped()
-    return (up + sign * down) / math.sqrt(2.0)
+               dim: int | None) -> tuple[np.ndarray, float]:
+    """Unnormalized cavity amplitudes <(up + sign*down)/sqrt2| psi_qc>, and the
+    weight the full-period state lost to truncation."""
+    full = _cycle(l, params, dim, sign)
+    up, down = full.reshaped()
+    return (up + sign * down) / math.sqrt(2.0), full.discarded_weight
 
 
 def projection_probability(l: int, params: ModelParams, sign: int = +1,
                            dim: int | None = None) -> float:
     """Probability of finding the qubit along (up + sign*down)/sqrt2 after l periods."""
-    vec = _projected(l, params, sign, dim)
+    vec, _ = _projected(l, params, sign, dim)
     return float(np.vdot(vec, vec).real)
 
 
 def projected_qubit_state(l: int, params: ModelParams, sign: int = +1,
                           dim: int | None = None) -> PureState:
-    """Normalized cavity state conditioned on the qubit outcome (up + sign*down)/sqrt2."""
-    vec = _projected(l, params, sign, dim)
+    """Normalized cavity state conditioned on the qubit outcome (up + sign*down)/sqrt2.
+
+    Its `discarded_weight` is the truncation loss of the full-period state.
+    """
+    vec, lost = _projected(l, params, sign, dim)
     prob = float(np.vdot(vec, vec).real)
     if prob < 1e-12:
         raise ValueError(f"projection probability {prob:.3e} vanishes")
-    return PureState(Space(("cavity",), (vec.size,)), vec / math.sqrt(prob))
+    return PureState(Space(("cavity",), (vec.size,)), vec / math.sqrt(prob),
+                     discarded_weight=lost)
 
 
 def cavity_projected_plus(l: int, params: ModelParams,

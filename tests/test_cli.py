@@ -1,9 +1,11 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from triqom import ModelParams, cavity_unconditional
 from triqom.cli import main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
@@ -216,11 +218,69 @@ class TestRunScenarios:
         assert np.all((0.0 <= data[:, 1]) & (data[:, 1] <= 1.0))
 
 
+    def test_kitten_fidelity_reports_truncation_loss(self, tmp_path):
+        # 32 levels is the smallest cutoff that holds the D(3)|1> target
+        text = ("scenario = kitten-fidelity\nlambda = 1\nalpha = 3\nl = 10\n"
+                "n_cav = 32\ng_min = 0.01\ng_max = 0.015\ng_samples = 3\n")
+        code, out = _run(tmp_path, text)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        lost = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0),
+                                    dim=32).discarded_weight
+        assert lost > 1e-9
+        # the same coherent tail at every g, up to rounding of 1 - |psi|^2
+        assert manifest["tail_weights"] == {
+            "max_discarded_weight": pytest.approx(lost, rel=1e-6)}
+
+    def test_intrinsic_offset_flag_only_for_thermal(self, tmp_path):
+        flag = "intrinsic_qc_offset_by_mech_entropy"
+        base = ("g = 0.2\nlambda = 0.25\nalpha = 1\nnbar = 0.5\nn_cav = 6\n"
+                "n_mech = 16\nt_end = 6.283185307179586\nsamples = 2\n")
+        for scenario in ("thermal-entanglement", "coherent-entanglement",
+                         "fock-entanglement"):
+            code, out = _run(tmp_path, f"scenario = {scenario}\n" + base,
+                             name=f"{scenario}.cfg")
+            assert code == 0
+            results = json.loads((out / "manifest.json").read_text())["results"]
+            if scenario == "thermal-entanglement":
+                assert results[flag] is True
+            else:
+                assert flag not in results
+
+
+class TestProgress:
+    def _main(self, tmp_path, *extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FOCK_CFG, encoding="utf-8")
+        return main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra])
+
+    def test_progress_is_logged_to_stdout(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="triqom.cli")
+        assert self._main(tmp_path) == 0
+        captured = capsys.readouterr()
+        assert "scenario fock-entanglement ->" in captured.out
+        assert "neg_qc = " in captured.out
+        assert captured.err == ""
+        messages = [r.getMessage() for r in caplog.records if r.name == "triqom.cli"]
+        assert any(m.startswith("scenario fock-entanglement") for m in messages)
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+
+    def test_quiet_silences_progress(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="triqom.cli")
+        assert self._main(tmp_path, "--quiet") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+        assert not [r for r in caplog.records if r.name == "triqom.cli"]
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
-        code = main(["run", str(tmp_path / "nope.cfg"), "--quiet"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for extra in (["--quiet"], []):  # errors go to stderr either way
+            code = main(["run", str(tmp_path / "nope.cfg"), *extra])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "error:" in captured.err
+            assert captured.out == ""
 
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

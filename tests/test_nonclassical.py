@@ -29,7 +29,13 @@ from triqom import (
 from triqom.core import displaced_fock
 from triqom.nonclassical import WignerGrid, default_axis
 
-from conftest import TWO_PI, coherent_vec, random_density, wigner_quadrature
+from conftest import (
+    TWO_PI,
+    coherent_vec,
+    displacement_dense,
+    random_density,
+    wigner_quadrature,
+)
 
 INV_PI = 1.0 / math.pi
 
@@ -59,6 +65,38 @@ class TestWigner:
             got = wigner(state, ax, ax).values
             want = wigner_quadrature(rho, ax, ax)
             assert np.max(np.abs(got - want)) < 1e-4
+
+    @pytest.mark.parametrize("dim", [40, 80])
+    def test_matches_displaced_parity_oracle(self, dim):
+        # W(a) = Tr[rho D(a) (-1)^n D(a)']/pi with D from expm on 2 dim levels;
+        # complex coherences pin the conjugation convention, and the points
+        # include the origin and one radius at several angles
+        rng = np.random.default_rng(dim)
+        rho = random_density(dim, rng)
+        pts = np.concatenate([
+            [0.0], 1.5 * np.exp(1j * np.array([0.0, 1.1, 2.5, -2.0, math.pi])),
+            1.5 * np.sqrt(rng.uniform(size=4)) * np.exp(2j * math.pi * rng.uniform(size=4))])
+        big = 2 * dim
+        parity = np.diag((-1.0) ** np.arange(big))
+        padded = np.zeros((big, big), dtype=complex)
+        padded[:dim, :dim] = rho
+        want = []
+        for a in pts:
+            d = displacement_dense(a, big)
+            want.append(np.trace(padded @ d @ parity @ d.conj().T).real / math.pi)
+        got = wigner_at(DensityMatrix(Space(("cavity",), (dim,)), rho), pts)
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+    def test_output_keeps_point_shape(self):
+        rng = np.random.default_rng(3)
+        state = DensityMatrix(Space(("cavity",), (12,)), random_density(12, rng))
+        cube = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        flat = wigner_at(state, cube.ravel())
+        for pts in (cube[0, 0, 0], cube[0, 0], cube):
+            w = wigner_at(state, pts)
+            assert w.shape == np.shape(pts)
+            np.testing.assert_allclose(w, flat[:np.size(pts)].reshape(np.shape(pts)),
+                                       rtol=0, atol=1e-15)
 
     def test_grid_integral_and_bound(self):
         p = ModelParams(g=0.5, lam=0.5, alpha=3.0)
@@ -167,6 +205,15 @@ class TestProjectedCavity:
         rho_c /= np.trace(rho_c).real
         got = cavity_projected_plus(l, p, dim=nc).matrix
         assert np.max(np.abs(got - rho_c)) < 1e-8
+
+    def test_projected_state_carries_truncation_loss(self):
+        # 16 levels cut about 2 % of |alpha = 3>; the projection must report it
+        p = ModelParams(g=0.0125, lam=1.0, alpha=3.0)
+        lost = cavity_unconditional(10, p, dim=16).discarded_weight
+        assert lost > 0.02
+        for sign in (+1, -1):
+            assert projected_qubit_state(10, p, sign, dim=16).discarded_weight == lost
+        assert cavity_projected_plus(10, p, dim=16).discarded_weight == lost
 
     def test_vanishing_branch_rejected(self):
         # 4 g lam l integer makes every sine factor zero
