@@ -344,7 +344,7 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     dim = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha)
     axis = default_axis(params.alpha, cfg.grid_points)
-    r_max = abs(params.alpha) + 4.0
+    r_max = axis[-1]  # lobes are counted out to the grid's half-width
     unc = cavity_unconditional(cfg.l, params, dim)
     grid_unc = wigner(unc, axis, axis)
     results = {}
@@ -353,7 +353,6 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
         manifest["outputs"].append("wigner.dat")
         results["min_wigner"] = float(grid_unc.values.min())
         results["lobe_count"] = radial_lobe_count(unc, r_max)
-        tails = {"state_discarded_weight": unc.discarded_weight}
     else:
         proj = projected_qubit_state(cfg.l, params, +1, dim)
         grid_proj = wigner(proj, axis, axis)
@@ -367,11 +366,10 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
         results["projection_probability_minus"] = projection_probability(
             cfg.l, params, -1, dim)
         results["lobe_count"] = radial_lobe_count(proj, r_max)
-        tails = {"state_discarded_weight": unc.discarded_weight}
     log.info("  min Wigner value = %.6g", results["min_wigner"])
     log.info("  lobes above 10%% of peak = %d", results["lobe_count"])
     manifest["truncations"] = {"n_cav": dim}
-    manifest["tail_weights"] = tails
+    manifest["tail_weights"] = {"state_discarded_weight": unc.discarded_weight}
     manifest["results"] = results
 
 

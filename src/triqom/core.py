@@ -6,6 +6,7 @@ in row-major (C) order, so basis state |q, n, m> sits at index
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -76,7 +77,7 @@ class Space:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         if label not in self.labels:
@@ -84,7 +85,8 @@ class Space:
         return self.labels.index(label)
 
     def keep(self, labels: Iterable[str]) -> "Space":
-        labels = _check_labels(tuple(labels))
+        """The subspace of `labels`, which must be held here and in canonical order."""
+        labels = tuple(labels)
         return Space(labels, tuple(self.dims[self.axis(l)] for l in labels))
 
 
@@ -99,6 +101,13 @@ class CompositeSpace:
         if self.n_cav < 1 or self.n_mech < 1:
             raise ValueError("truncation dimensions must be >= 1")
 
+    @classmethod
+    def of(cls, space: Space) -> "CompositeSpace":
+        """The composite space of `space`, which must hold (qubit, cavity, mech)."""
+        if space.labels != SUBSYSTEMS:
+            raise ValueError(f"needs the full {SUBSYSTEMS} space, got {space.labels}")
+        return cls(space.dims[1], space.dims[2])
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return (2, self.n_cav, self.n_mech)
@@ -110,11 +119,6 @@ class CompositeSpace:
     @property
     def space(self) -> Space:
         return Space(SUBSYSTEMS, self.dims)
-
-    def index(self, q: int, n: int, m: int) -> int:
-        if not (0 <= q < 2 and 0 <= n < self.n_cav and 0 <= m < self.n_mech):
-            raise ValueError(f"basis label ({q}, {n}, {m}) outside {self.dims}")
-        return (q * self.n_cav + n) * self.n_mech + m
 
 
 @dataclass(frozen=True)
@@ -263,19 +267,17 @@ def mechanics_dim(params: ModelParams, n_cav: int) -> int:
 
     The coherent orbit conditioned on the top cavity level reaches amplitude
     |beta| + 2*(g*(n_cav-1) + |lam|); thermal initial occupancy adds its own
-    floor.  Values above 600 levels are clamped with a warning.
+    floor.  A cutoff above 600 levels raises ValueError rather than being
+    clamped; pass an explicit n_mech to go beyond it.
     """
     reach = abs(params.beta) + 2.0 * (abs(params.g) * (n_cav - 1) + abs(params.lam))
     dim = coherent_dim(reach)
     if params.nbar_mech > 0:
         dim = max(dim, thermal_dim(params.nbar_mech))
     if dim > _MECH_CEILING:
-        import warnings
-
-        warnings.warn(
-            f"mechanics cutoff {dim} exceeds ceiling {_MECH_CEILING}; clamping", stacklevel=2
-        )
-        dim = _MECH_CEILING
+        raise ValueError(
+            f"mechanics cutoff {dim} exceeds the ceiling {_MECH_CEILING}; "
+            f"set n_mech explicitly to run at that size")
     return dim
 
 
@@ -395,64 +397,44 @@ def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
 def tensor(*parts: PureState | DensityMatrix) -> PureState | DensityMatrix:
     """Kronecker product of states in canonical subsystem order.
 
-    All parts must be the same kind (vectors or matrices) and their labels must
-    concatenate into a strictly ascending subset of (qubit, cavity, mech).
+    The parts must be all PureState or all DensityMatrix, and their labels must
+    concatenate into a strictly ascending subset of (qubit, cavity, mech).  The
+    product keeps 1 - prod(1 - w) of the parts' discarded weights w.
     """
-    if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-        parts = tuple(parts[0])
-    if not parts:
-        raise ValueError("tensor of no parts")
     kinds = {type(p) for p in parts}
-    if kinds == {PureState}:
-        labels = sum((p.space.labels for p in parts), ())
-        dims = sum((p.space.dims for p in parts), ())
-        space = Space(labels, dims)  # validates order/duplicates
-        vec = parts[0].amplitudes
-        for p in parts[1:]:
-            vec = np.kron(vec, p.amplitudes)
-        w = 1.0 - float(np.prod([1.0 - p.discarded_weight for p in parts]))
-        return PureState(space, vec, discarded_weight=w)
-    if kinds == {DensityMatrix}:
-        labels = sum((p.space.labels for p in parts), ())
-        dims = sum((p.space.dims for p in parts), ())
-        space = Space(labels, dims)
-        mat = parts[0].matrix
-        for p in parts[1:]:
-            mat = np.kron(mat, p.matrix)
-        w = 1.0 - float(np.prod([1.0 - p.discarded_weight for p in parts]))
-        return DensityMatrix(space, mat, discarded_weight=w)
-    raise ValueError("tensor parts must be all PureState or all DensityMatrix")
+    if len(kinds) != 1 or not kinds <= {PureState, DensityMatrix}:
+        raise ValueError("tensor needs parts that are all PureState or all DensityMatrix")
+    kind = kinds.pop()
+    space = Space(sum((p.space.labels for p in parts), ()),
+                  sum((p.space.dims for p in parts), ()))
+    arrays = [p.amplitudes if kind is PureState else p.matrix for p in parts]
+    w = 1.0 - float(np.prod([1.0 - p.discarded_weight for p in parts]))
+    return kind(space, functools.reduce(np.kron, arrays), w)
 
 
 def partial_trace(state: PureState | DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced density matrix over the `keep` subsystems (canonical order)."""
-    keep = _check_labels(tuple(keep))
+    """Reduced density matrix over the `keep` subsystems.
+
+    `keep` must be a nonempty set of labels of `state.space`, in canonical
+    order; `Space.keep` checks that.  A pure state contracts its dropped axes
+    as one matrix product, a density matrix traces them out one at a time.
+    """
     space = state.space
-    keep_ax = [space.axis(l) for l in keep]
+    sub = space.keep(keep)
+    keep_ax = [space.axis(l) for l in sub.labels]
     drop_ax = [i for i in range(len(space.labels)) if i not in keep_ax]
+    dk = sub.dim
     if isinstance(state, PureState):
-        psi = state.reshaped()
-        # move kept axes first, flatten both groups, contract the dropped group
-        perm = keep_ax + drop_ax
-        dk = int(np.prod([space.dims[i] for i in keep_ax])) if keep_ax else 1
-        dd = int(np.prod([space.dims[i] for i in drop_ax])) if drop_ax else 1
-        m = np.transpose(psi, perm).reshape(dk, dd)
+        m = np.transpose(state.reshaped(), keep_ax + drop_ax).reshape(dk, space.dim // dk)
         red = m @ m.conj().T
     elif isinstance(state, DensityMatrix):
-        k = len(space.labels)
         t = state.matrix.reshape(space.dims + space.dims)
-        for ax in sorted(drop_ax, reverse=True):
-            t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
-        # remaining axes are the kept ones in original order; reorder to `keep`
-        kept_sorted = sorted(keep_ax)
-        perm = [kept_sorted.index(a) for a in keep_ax]
-        nk = len(perm)
-        t = np.transpose(t, perm + [p + nk for p in perm])
-        dk = int(np.prod([space.dims[i] for i in keep_ax]))
+        for ax in reversed(drop_ax):
+            t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
         red = t.reshape(dk, dk)
     else:
         raise TypeError(f"cannot trace object of type {type(state)}")
-    return DensityMatrix(space.keep(keep), np.ascontiguousarray(red),
+    return DensityMatrix(sub, np.ascontiguousarray(red),
                          discarded_weight=state.discarded_weight)
 
 

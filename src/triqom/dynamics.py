@@ -110,10 +110,8 @@ def _propagate(x: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
 
 def evolve_unitary(state: PureState, t: float, params: ModelParams) -> PureState:
     """Apply the exact propagator at time t to a full tripartite pure state."""
-    if state.space.labels != ("qubit", "cavity", "mech"):
-        raise ValueError("evolve_unitary needs the full qubit-cavity-mech space")
-    nc, nm = state.space.dims[1], state.space.dims[2]
-    x = _propagate(state.reshaped().reshape(2 * nc, nm), t, params)
+    cspace = CompositeSpace.of(state.space)
+    x = _propagate(state.reshaped().reshape(2 * cspace.n_cav, cspace.n_mech), t, params)
     return PureState(state.space, x.reshape(-1), state.discarded_weight)
 
 

@@ -9,7 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SUBSYSTEMS, DensityMatrix, ModelParams, PureState, Space, partial_trace
+from .core import (SUBSYSTEMS, CompositeSpace, DensityMatrix, ModelParams, PureState,
+                   Space, partial_trace)
 
 __all__ = [
     "BipartitePartition",
@@ -103,8 +104,7 @@ def intrinsic_qc_numeric(state: PureState | DensityMatrix) -> float:
     mechanics it is offset by the mechanics' linear entropy (-0.5 at t = 0 for
     nbar = 0.5).  Input must carry all three subsystems.
     """
-    if state.space.labels != ("qubit", "cavity", "mech"):
-        raise ValueError("intrinsic measure needs the full tripartite state")
+    CompositeSpace.of(state.space)
     s_q = linear_entropy(partial_trace(state, ("qubit",)))
     s_c = linear_entropy(partial_trace(state, ("cavity",)))
     s_o = linear_entropy(partial_trace(state, ("mech",)))

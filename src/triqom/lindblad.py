@@ -142,10 +142,7 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     """
     if isinstance(rho, DensityMatrix):
         if cspace is None:
-            dims = rho.space.dims
-            if rho.space.labels != ("qubit", "cavity", "mech"):
-                raise ValueError("lindblad_rhs needs the full tripartite space")
-            cspace = CompositeSpace(dims[1], dims[2])
+            cspace = CompositeSpace.of(rho.space)
         mat = rho.matrix
     else:
         if cspace is None:
@@ -283,10 +280,7 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
         raise ValueError("need at least one sample time")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    if rho0.space.labels != ("qubit", "cavity", "mech"):
-        raise ValueError("integrate needs the full tripartite space")
-    dims = rho0.space.dims
-    lio = _liouvillian(params, CompositeSpace(dims[1], dims[2]), dissipators)
+    lio = _liouvillian(params, CompositeSpace.of(rho0.space), dissipators)
     norm1 = float(np.bincount(lio.indices, weights=np.abs(lio.data)).max(initial=0.0))
 
     d = rho0.space.dim
@@ -334,8 +328,7 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
     starting from rho0; rows come out with Gamma as the outer loop.
     """
     rows: list[tuple[float, float, float]] = []
-    dims = rho0.space.dims
-    cspace = CompositeSpace(dims[1], dims[2])
+    cspace = CompositeSpace.of(rho0.space)
     for big_gamma in Gamma_values:
         for gphi in gamma_phi_values:
             p = params.with_rates(Gamma=float(big_gamma))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from triqom import ModelParams, cavity_unconditional
-from triqom.cli import main, parse_config, read_wigner
+from triqom.cli import _closed_spaces, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,6 +305,19 @@ class TestExitCodes:
             assert code == 1
             assert f"'{key}'" in capsys.readouterr().err
             assert not (out / "sweep.csv").exists()
+
+    def test_oversized_default_mechanics_is_exit_two(self, tmp_path, capsys):
+        # the default cutoff for this reach is 1382 levels, past the 600 ceiling
+        text = ("scenario = coherent-entanglement\ng = 0.4\nlambda = 0.25\n"
+                "alpha = 3\n")
+        code, out = _run(tmp_path, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1382" in err and "600" in err and "n_mech" in err
+        assert not (out / "entanglement.csv").exists()
+        # an explicit n_mech bypasses the default rule
+        cfg = parse_config(text + "n_mech = 700\n")
+        assert _closed_spaces(cfg).n_mech == 700
 
     def test_unwritable_output_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

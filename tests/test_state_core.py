@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,14 +13,19 @@ from triqom import (
     coherent_dim,
     coherent_state,
     displaced_fock,
+    evolve_unitary,
     fock_state,
+    integrate,
+    intrinsic_qc_numeric,
+    lindblad_rhs,
     mechanics_dim,
+    negativity_sweep,
     partial_trace,
     qubit_state,
     tensor,
     thermal_density,
 )
-from triqom.core import embed
+from triqom.core import SUBSYSTEMS, embed
 
 from conftest import (
     TWO_PI,
@@ -34,8 +40,26 @@ def test_composite_space_dims():
     cs = CompositeSpace(5, 7)
     assert cs.dim == 2 * 5 * 7
     assert cs.space.labels == ("qubit", "cavity", "mech")
+    assert CompositeSpace.of(cs.space) == cs
     with pytest.raises(ValueError):
         CompositeSpace(0, 7)
+
+
+_P = ModelParams(g=0.2, lam=0.25, alpha=0.5, beta=0.5)
+_TRIPARTITE = {
+    "evolve_unitary": lambda psi: evolve_unitary(psi, 1.0, _P),
+    "intrinsic_qc_numeric": intrinsic_qc_numeric,
+    "lindblad_rhs": lambda psi: lindblad_rhs(psi.density_matrix(), _P),
+    "integrate": lambda psi: integrate(psi.density_matrix(), _P, [1.0]),
+    "negativity_sweep": lambda psi: negativity_sweep([0.0], [0.0], _P, psi.density_matrix()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIPARTITE))
+def test_tripartite_entry_points_reject_qubit_cavity_state(name):
+    psi = tensor(qubit_state(1, 1), coherent_state(0.5, 8))
+    with pytest.raises(ValueError, match=r"full .*got \('qubit', 'cavity'\)"):
+        _TRIPARTITE[name](psi)
 
 
 def test_model_params_validation():
@@ -189,6 +213,41 @@ def test_partial_trace_of_tensor_factors():
     assert np.max(np.abs(back_b.matrix - rho_b.matrix)) < 1e-12
 
 
+_KEEPS = [keep for r in (1, 2, 3) for keep in itertools.combinations(SUBSYSTEMS, r)]
+
+
+@pytest.mark.parametrize("keep", _KEEPS, ids="-".join)
+def test_partial_trace_matches_einsum(keep):
+    rng = np.random.default_rng(17)
+    dims = (2, 3, 4)
+    space = Space(SUBSYSTEMS, dims)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    pure = PureState(space, v / np.linalg.norm(v))
+    mixed = DensityMatrix(space, random_density(24, rng))
+    # rho[qcm, q'c'm'] summed over the dropped diagonals; kept column letters are upper case
+    row = "qcm"
+    col = "".join(ch.upper() if lab in keep else ch for ch, lab in zip(row, SUBSYSTEMS))
+    kept = "".join(ch for ch, lab in zip(row, SUBSYSTEMS) if lab in keep)
+    dk = math.prod(d for d, lab in zip(dims, SUBSYSTEMS) if lab in keep)
+    for state, mat in ((pure, np.outer(v, v.conj()) / np.vdot(v, v).real),
+                       (mixed, mixed.matrix)):
+        want = np.einsum(f"{row}{col}->{kept}{kept.upper()}", mat.reshape(dims + dims))
+        got = partial_trace(state, keep)
+        assert got.space == space.keep(keep)
+        assert np.max(np.abs(got.matrix - want.reshape(dk, dk))) < 1e-13
+    via_density = partial_trace(pure.density_matrix(), keep).matrix
+    assert np.max(np.abs(partial_trace(pure, keep).matrix - via_density)) < 1e-13
+
+
+@pytest.mark.parametrize("keep", [("cavity", "qubit"), ("spin",), ("mech",), ()],
+                         ids=["non-canonical", "unknown", "absent", "empty"])
+def test_partial_trace_rejects_bad_keep(keep):
+    psi = tensor(qubit_state(1, 1), coherent_state(0.5, 8))
+    for state in (psi, psi.density_matrix()):
+        with pytest.raises(ValueError):
+            partial_trace(state, keep)
+
+
 def test_embed_round_trip():
     cs = CompositeSpace(4, 3)
     rng = np.random.default_rng(7)
@@ -234,6 +293,13 @@ def test_mechanics_dim_covers_displacement():
     # reach: |beta| + 2 (g (n_cav - 1) + lam) pushed through the coherent rule
     reach = 2.0 + 2.0 * (0.2 * 13 + 0.25)
     assert d >= coherent_dim(reach)
+
+
+def test_mechanics_dim_fails_closed_above_ceiling():
+    # reach 2 + 2 (0.4 * 39 + 0.25) = 33.7 needs 1382 levels, past the 600 ceiling
+    p = ModelParams(g=0.4, lam=0.25, alpha=3.0)
+    with pytest.raises(ValueError, match=r"1382 .*600.*n_mech"):
+        mechanics_dim(p, n_cav=coherent_dim(3.0))
 
 
 def test_dense_operator_helpers():
