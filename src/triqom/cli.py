@@ -34,7 +34,7 @@ from .dynamics import (
     evolve_thermal,
 )
 from .entanglement import entanglement_record
-from .lindblad import IntegrationError, OpenSystemConfig, negativity_sweep
+from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     cavity_unconditional,
     default_axis,
@@ -104,36 +104,37 @@ def _parse_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, part.strip()) for part in raw.split(","))
 
 
-# every accepted key: (parser, default).  A None default leaves the key unset;
-# `scenario` and `lambda` are required, and `g` is required except for
-# kitten-fidelity, which scans it.
+# every accepted key: (parser, default, least).  A None default leaves the key
+# unset; `scenario` and `lambda` are required, and `g` is required except for
+# kitten-fidelity, which scans it.  `least` is the smallest value accepted (for
+# a list, for every entry); keys that ModelParams validates have none.
 _KEYS = {
-    "scenario": (_parse_str, None),
-    "g": (_parse_float, None),
-    "lambda": (_parse_float, None),
-    "alpha": (_parse_float, 2.0),
-    "beta": (_parse_float, 2.0),
-    "nbar": (_parse_float, 0.0),
-    "kappa": (_parse_float, 0.0),
-    "gamma_m": (_parse_float, 0.0),
-    "Gamma": (_parse_list, (0.0,)),  # comma lists, open-sweep only
-    "Gamma_phi": (_parse_list, (0.0,)),
-    "n_th": (_parse_float, 0.0),
-    "n_q": (_parse_float, None),
-    "t_start": (_parse_float, 0.0),
-    "t_end": (_parse_float, 4.0 * math.pi),
-    "samples": (_parse_int, 400),
-    "l": (_parse_int, 1),
-    "p": (_parse_int, 2),
-    "out_dir": (_parse_str, None),
-    "n_cav": (_parse_int, None),
-    "n_mech": (_parse_int, None),
-    "dt": (_parse_float, 1e-3),
-    "seed": (_parse_int, 0),
-    "grid_points": (_parse_int, 201),
-    "g_min": (_parse_float, 1e-3),
-    "g_max": (_parse_float, 0.03),
-    "g_samples": (_parse_int, 61),
+    "scenario": (_parse_str, None, None),
+    "g": (_parse_float, None, None),
+    "lambda": (_parse_float, None, None),
+    "alpha": (_parse_float, 2.0, None),
+    "beta": (_parse_float, 2.0, None),
+    "nbar": (_parse_float, 0.0, None),
+    "kappa": (_parse_float, 0.0, None),
+    "gamma_m": (_parse_float, 0.0, None),
+    "Gamma": (_parse_list, (0.0,), 0.0),  # comma lists, open-sweep only
+    "Gamma_phi": (_parse_list, (0.0,), 0.0),
+    "n_th": (_parse_float, 0.0, None),
+    "n_q": (_parse_float, None, None),
+    "t_start": (_parse_float, 0.0, 0.0),
+    "t_end": (_parse_float, 4.0 * math.pi, None),
+    "samples": (_parse_int, 400, 2),
+    "l": (_parse_int, 1, 1),
+    "p": (_parse_int, 2, 1),
+    "out_dir": (_parse_str, None, None),
+    "n_cav": (_parse_int, None, 2),
+    "n_mech": (_parse_int, None, 2),
+    "dt": (_parse_float, 1e-3, None),
+    "seed": (_parse_int, 0, None),
+    "grid_points": (_parse_int, 201, 8),
+    "g_min": (_parse_float, 1e-3, None),
+    "g_max": (_parse_float, 0.03, None),
+    "g_samples": (_parse_int, 61, 3),
 }
 
 
@@ -165,43 +166,27 @@ def parse_config(text: str) -> ScenarioConfig:
             f"key 'scenario': unknown scenario '{scenario}' "
             f"(choose from {', '.join(_RUNNERS)})")
 
-    vals = {key: default for key, (_, default) in _KEYS.items()}
+    vals = {key: default for key, (_, default, _) in _KEYS.items()}
     for key, raw in seen.items():
-        parse = _KEYS[key][0]
+        parse, _, least = _KEYS[key]
         if parse is _parse_list and "," in raw and scenario != "open-sweep":
             raise ValueError(f"key '{key}': comma lists are only valid for open-sweep")
-        vals[key] = parse(key, raw)
+        v = vals[key] = parse(key, raw)
+        low = min(v) if isinstance(v, tuple) else v
+        if least is not None and low < least:
+            raise ValueError(f"key '{key}': must be >= {least}, got {low}")
 
     if "lambda" not in seen:
         raise ValueError("missing required key 'lambda'")
     if "g" not in seen and scenario != "kitten-fidelity":
         raise ValueError("missing required key 'g'")
-
-    if vals["samples"] < 2:
-        raise ValueError(f"key 'samples': need at least 2, got {vals['samples']}")
-    if vals["t_start"] < 0:
-        raise ValueError(f"key 't_start': must be >= 0, got {vals['t_start']}")
-    if vals["t_end"] <= vals["t_start"]:
-        raise ValueError(f"key 't_end': must exceed t_start, got {vals['t_end']}")
-    if vals["l"] < 1:
-        raise ValueError(f"key 'l': must be >= 1, got {vals['l']}")
-    if vals["p"] < 1:
-        raise ValueError(f"key 'p': must be >= 1, got {vals['p']}")
     if vals["dt"] <= 0:
         raise ValueError(f"key 'dt': must be > 0, got {vals['dt']}")
-    if vals["grid_points"] < 8:
-        raise ValueError(f"key 'grid_points': need at least 8, got {vals['grid_points']}")
-    if vals["g_samples"] < 3:
-        raise ValueError(f"key 'g_samples': need at least 3, got {vals['g_samples']}")
+    if vals["t_end"] <= vals["t_start"]:
+        raise ValueError(f"key 't_end': must exceed t_start, got {vals['t_end']}")
     if not 0 < vals["g_min"] < vals["g_max"]:
         raise ValueError(f"key 'g_min'/'g_max': need 0 < g_min < g_max, "
                          f"got {vals['g_min']}, {vals['g_max']}")
-    for key in ("n_cav", "n_mech"):
-        if vals[key] is not None and vals[key] < 2:
-            raise ValueError(f"key '{key}': must be >= 2, got {vals[key]}")
-    for key in ("Gamma", "Gamma_phi"):
-        if min(vals[key]) < 0:
-            raise ValueError(f"key '{key}': every entry must be >= 0, got {min(vals[key])}")
 
     try:
         params = ModelParams(
@@ -329,9 +314,7 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
                  G, gphi, cfg.l, neg)
 
     rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
-                            t_cycle=t_cycle,
-                            config=OpenSystemConfig(dt=cfg.dt),
-                            progress=report)
+                            t_cycle=t_cycle, progress=report)
     _write_csv(out_dir / "sweep.csv", "Gamma,gamma_phi,neg_qc_2pi", rows)
     manifest["outputs"].append("sweep.csv")
     manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
@@ -342,10 +325,9 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
 
 def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
-    dim = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha)
     axis = default_axis(params.alpha, cfg.grid_points)
     r_max = axis[-1]  # lobes are counted out to the grid's half-width
-    unc = cavity_unconditional(cfg.l, params, dim)
+    unc = cavity_unconditional(cfg.l, params, cfg.n_cav)
     grid_unc = wigner(unc, axis, axis)
     results = {}
     if cfg.scenario == "cat-unconditional":
@@ -354,7 +336,7 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
         results["min_wigner"] = float(grid_unc.values.min())
         results["lobe_count"] = radial_lobe_count(unc, r_max)
     else:
-        proj = projected_qubit_state(cfg.l, params, +1, dim)
+        proj = projected_qubit_state(cfg.l, params, +1, cfg.n_cav)
         grid_proj = wigner(proj, axis, axis)
         _write_wigner(out_dir / "wigner.dat", grid_proj)
         _write_wigner(out_dir / "wigner_unconditional.dat", grid_unc)
@@ -362,13 +344,13 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
         results["min_wigner"] = float(grid_proj.values.min())
         results["min_wigner_unconditional"] = float(grid_unc.values.min())
         results["projection_probability_plus"] = projection_probability(
-            cfg.l, params, +1, dim)
+            cfg.l, params, +1, cfg.n_cav)
         results["projection_probability_minus"] = projection_probability(
-            cfg.l, params, -1, dim)
+            cfg.l, params, -1, cfg.n_cav)
         results["lobe_count"] = radial_lobe_count(proj, r_max)
     log.info("  min Wigner value = %.6g", results["min_wigner"])
     log.info("  lobes above 10%% of peak = %d", results["lobe_count"])
-    manifest["truncations"] = {"n_cav": dim}
+    manifest["truncations"] = {"n_cav": unc.space.dims[0]}
     manifest["tail_weights"] = {"state_discarded_weight": unc.discarded_weight}
     manifest["results"] = results
 

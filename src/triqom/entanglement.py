@@ -153,7 +153,7 @@ def _compress_mechanics(state: PureState | DensityMatrix) -> PureState | Density
     the singular values above numpy's matrix_rank cutoff; U_r S_r differs from
     M by the isometry V_r on the mechanics alone.
     """
-    if not isinstance(state, PureState) or state.space.labels != SUBSYSTEMS:
+    if not isinstance(state, PureState):
         return state
     _, n_cav, n_mech = state.space.dims
     m = state.amplitudes.reshape(2 * n_cav, n_mech)
@@ -169,6 +169,7 @@ def entanglement_record(state: PureState | DensityMatrix, t: float) -> Entanglem
     A pure state's mechanics is first compressed to its numerical rank
     (`_compress_mechanics`), which changes no reported field.
     """
+    CompositeSpace.of(state.space)
     state = _compress_mechanics(state)
     rho_qc = partial_trace(state, ("qubit", "cavity"))
     rho_qo = partial_trace(state, ("qubit", "mech"))

@@ -47,11 +47,11 @@ class IntegrationError(RuntimeError):
     """Raised when the integrator detects trace or positivity breakdown."""
 
 
-def _thermal_log_factor(n_th: float) -> float:
-    # 1/ln((1+n)/n), with the n -> 0 limit taken analytically (factor -> 0)
+def _induced_dephasing(gamma_m: float, pull: float, n_th: float) -> float:
+    # 4 gamma_m pull^2 / ln((1+n)/n), with the n -> 0 limit taken analytically (-> 0)
     if n_th <= 0:
         return 0.0
-    return 1.0 / math.log((1.0 + n_th) / n_th)
+    return 4.0 * gamma_m * pull * pull * (1.0 / math.log((1.0 + n_th) / n_th))
 
 
 def dressed_dephasing_rate(Gamma_phi: float, gamma_m: float, lam: float,
@@ -67,14 +67,14 @@ def dressed_dephasing_rate(Gamma_phi: float, gamma_m: float, lam: float,
         raise ValueError("rates and occupancies must be >= 0")
     if n_th == 0:
         raise ValueError("n_th must be > 0 (the dressed-rate logarithm needs it)")
-    return Gamma_phi + 4.0 * gamma_m * lam * lam * _thermal_log_factor(n_th)
+    return Gamma_phi + _induced_dephasing(gamma_m, lam, n_th)
 
 
 def photon_dephasing_rate(gamma_m: float, g: float, n_th: float) -> float:
     """Photon-number dephasing rate 4 gamma_m g^2 / ln((1+n_th)/n_th)."""
     if gamma_m < 0 or n_th < 0:
         raise ValueError("rates and occupancies must be >= 0")
-    return 4.0 * gamma_m * g * g * _thermal_log_factor(n_th)
+    return _induced_dephasing(gamma_m, g, n_th)
 
 
 @dataclass(frozen=True)
@@ -98,38 +98,26 @@ def build_dissipators(params: ModelParams, cspace: CompositeSpace,
     relaxation/excitation, qubit dephasing (dressed unless `dephasing_rate`
     pins the total directly), and photon-number dephasing.
     """
-    b, a, num_c, sz, sm = _operators(cspace, "b", "a", "num_c", "sz", "sm")
-    n_th = params.n_th
-    n_q = params.qubit_bath_occupancy
-    chans: list[DissipatorSpec] = []
-    if params.gamma_m > 0:
-        dressed_down = (b - params.g * num_c).tocsr()
-        chans.append(DissipatorSpec("mech_decay", params.gamma_m * (n_th + 1.0),
-                                    dressed_down))
-        if n_th > 0:
-            dressed_up = (b.conj().T.tocsr() - params.g * num_c).tocsr()
-            chans.append(DissipatorSpec("mech_excite", params.gamma_m * n_th, dressed_up))
-    if params.kappa > 0:
-        chans.append(DissipatorSpec("cavity_decay", params.kappa, a))
-    if params.Gamma > 0:
-        chans.append(DissipatorSpec("qubit_decay", params.Gamma * (1.0 + n_q), sm))
-        if n_q > 0:
-            # sm is real, so its adjoint is its transpose
-            chans.append(DissipatorSpec("qubit_excite", params.Gamma * n_q, sm.T.tocsr()))
-    if dephasing_rate is not None:
+    if dephasing_rate is None:
+        gphi = params.Gamma_phi + _induced_dephasing(params.gamma_m, params.lam, params.n_th)
+    else:
         gphi = float(dephasing_rate)
         if not gphi >= 0:  # NaN fails too
             raise ValueError(f"dephasing_rate must be >= 0, got {gphi}")
-    else:
-        # analytic n_th -> 0 limit: the induced part vanishes with 1/ln((1+n)/n)
-        gphi = params.Gamma_phi + 4.0 * params.gamma_m * params.lam ** 2 \
-            * _thermal_log_factor(n_th)
-    if gphi > 0:
-        chans.append(DissipatorSpec("qubit_dephasing", 0.5 * gphi, sz))
-    pd = photon_dephasing_rate(params.gamma_m, params.g, n_th)
-    if pd > 0:
-        chans.append(DissipatorSpec("photon_dephasing", pd, num_c))
-    return chans
+    b, a, num_c, sz, sm = _operators(cspace, "b", "a", "num_c", "sz", "sm")
+    gm, n_th, n_q = params.gamma_m, params.n_th, params.qubit_bath_occupancy
+    # in the order the Liouvillian sums them; every rate is a product of
+    # nonnegative factors, so a channel is dropped exactly when one is zero
+    table = (
+        ("mech_decay", gm * (n_th + 1.0), b - params.g * num_c),
+        ("mech_excite", gm * n_th, b.conj().T.tocsr() - params.g * num_c),
+        ("cavity_decay", params.kappa, a),
+        ("qubit_decay", params.Gamma * (1.0 + n_q), sm),
+        ("qubit_excite", params.Gamma * n_q, sm.T),  # sm is real: adjoint = transpose
+        ("qubit_dephasing", 0.5 * gphi, sz),
+        ("photon_dephasing", _induced_dephasing(gm, params.g, n_th), num_c),
+    )
+    return [DissipatorSpec(label, rate, op.tocsr()) for label, rate, op in table if rate > 0]
 
 
 def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
@@ -163,8 +151,7 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
 
 
 def _liouvillian(params: ModelParams, cspace: CompositeSpace,
-                 dissipators: Sequence[DissipatorSpec] | None = None
-                 ) -> sparse.csr_matrix:
+                 dissipators: Sequence[DissipatorSpec]) -> sparse.csr_matrix:
     """Liouvillian (CSR) acting on row-major-flattened density matrices.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so the
@@ -173,24 +160,17 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
     H_eff = H - i sum_k r_k O_k'O_k.  The memory cost is roughly
     dim * (total operator nnz), fine for the composite sizes used here.
     """
-    h = hamiltonian(params, cspace, as_sparse=True).astype(complex)
-    if dissipators is None:
-        dissipators = build_dissipators(params, cspace)
-    eye = sparse.identity(cspace.dim, format="csr", dtype=complex)
-    gain = None
-    jump = None
+    d = cspace.dim
+    eye = sparse.identity(d, format="csr", dtype=complex)
+    gain = sparse.csr_matrix((d, d), dtype=complex)
+    jump = sparse.csr_matrix((d * d, d * d), dtype=complex)
     for ch in dissipators:
-        o = ch.operator.astype(complex).tocsr()
-        oo = (o.conj().T.tocsr() @ o).tocsr()
-        gain = ch.rate * oo if gain is None else gain + ch.rate * oo
-        term = (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
-        jump = term if jump is None else jump + term
-    h_eff = h if gain is None else (h - 1j * gain).tocsr()
+        o = ch.operator
+        gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
+        jump = jump + (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
+    h_eff = hamiltonian(params, cspace, as_sparse=True) - 1j * gain
     lio = -1j * (sparse.kron(h_eff, eye, format="csr")
-                 - sparse.kron(eye, h_eff.conj(), format="csr"))
-    if jump is not None:
-        lio = lio + jump
-    lio = lio.tocsr()
+                 - sparse.kron(eye, h_eff.conj(), format="csr")) + jump
     lio.sort_indices()
     return lio
 
@@ -273,14 +253,15 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     drift and positivity.  Sample times must be nonnegative and
     strictly increasing.
     """
-    if config is None:
-        config = OpenSystemConfig()
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one sample time")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    lio = _liouvillian(params, CompositeSpace.of(rho0.space), dissipators)
+    cspace = CompositeSpace.of(rho0.space)
+    if dissipators is None:
+        dissipators = build_dissipators(params, cspace)
+    lio = _liouvillian(params, cspace, dissipators)
     norm1 = float(np.bincount(lio.indices, weights=np.abs(lio.data)).max(initial=0.0))
 
     d = rho0.space.dim

@@ -309,9 +309,9 @@ class TestShippedScenarios:
         "kitten_optimal.cfg",
         "kitten_fidelity_scan.cfg",
     ]
-    # coherent_series and open_sweep are shipped for completeness but take
-    # minutes to hours; they are validated by parsing only (the physics they
-    # produce is covered above at matched parameters)
+    # coherent_series (about 17 s on 2 cores) and open_sweep (about 2 min) are
+    # too slow for the suite; they are validated by parsing only (the physics
+    # they produce is covered above at matched parameters)
     SLOW = ["coherent_series.cfg", "open_sweep.cfg"]
 
     def test_all_configs_parse(self):

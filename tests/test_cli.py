@@ -1,12 +1,14 @@
 import json
 import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triqom import ModelParams, cavity_unconditional
-from triqom.cli import _closed_spaces, main, parse_config, read_wigner
+from triqom.cli import _KEYS, _closed_spaces, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +92,66 @@ class TestParseConfig:
         echo = cfg.echo
         assert (echo["g"], echo["lambda"], echo["alpha"], echo["beta"]) \
             == (0.2, 0.25, 2.0, 2.0)
+
+
+# every bounded key with its least accepted value
+LEAST = {"samples": 2, "t_start": 0.0, "l": 1, "p": 1, "grid_points": 8,
+         "g_samples": 3, "n_cav": 2, "n_mech": 2, "Gamma": 0.0, "Gamma_phi": 0.0}
+SWEEP_BASE = "scenario = open-sweep\ng = 0.2\nlambda = 0.25\n"
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize("key", sorted(LEAST))
+    def test_least_value_parses_and_one_step_below_fails(self, key):
+        least = LEAST[key]
+        cfg = parse_config(SWEEP_BASE + f"{key} = {least!r}\n")
+        got = cfg.echo[key]
+        assert (got[0] if isinstance(got, list) else got) == least
+        below = least - 1 if isinstance(least, int) else math.nextafter(least, -math.inf)
+        with pytest.raises(ValueError, match=f"key '{key}'"):
+            parse_config(SWEEP_BASE + f"{key} = {below!r}\n")
+
+    @pytest.mark.parametrize("line, match", [
+        ("alpha = two", "key 'alpha': expected a number"),
+        ("samples = 2.5", "key 'samples': expected an integer"),
+        ("alpha = inf", "key 'alpha': must be finite"),
+        ("Gamma = 0, nan", "key 'Gamma': must be finite"),
+        ("alpha 2", "line 4: expected 'key = value'"),
+        ("alpha =", "line 4: key 'alpha' has no value"),
+        ("dt = 0", "key 'dt'"),
+        ("g_max = 1e-3", "g_min"),
+    ])
+    def test_malformed_values_fail_closed(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config(SWEEP_BASE + line + "\n")
+
+    def test_missing_g_fails_closed_except_for_the_kitten_scan(self):
+        with pytest.raises(ValueError, match="missing required key 'g'"):
+            parse_config("scenario = open-sweep\nlambda = 0.25\n")
+        assert parse_config("scenario = kitten-fidelity\nlambda = 1\n").params.g == 0.0
+
+
+def test_readme_key_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | type |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for row in table.splitlines()[2:]:  # past the header's tail and the rule
+        documented |= set(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert documented == set(_KEYS)
+
+
+class TestReadWigner:
+    def test_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "w.dat"
+        path.write_text("# z: 0 1 2\n# y: 0 1 2\n0 0\n0 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not a Wigner grid file"):
+            read_wigner(path)
+
+    def test_rejects_mismatched_value_block(self, tmp_path):
+        path = tmp_path / "w.dat"
+        path.write_text("# x: 0 1 2\n# y: 0 1 3\n0 0\n0 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) does not match axes \(2, 3\)"):
+            read_wigner(path)
 
 
 # every key the config format accepts

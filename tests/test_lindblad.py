@@ -26,12 +26,31 @@ from triqom import (
     tensor,
     thermal_density,
 )
+from scipy import sparse
+
 from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition
+from triqom.lindblad import DissipatorSpec, _liouvillian
 
 from conftest import TWO_PI, random_density
 
 SQRT2 = math.sqrt(2.0)
+
+# every rate nonzero, so build_dissipators keeps all seven channels
+ALL_RATES = ModelParams(g=0.2, lam=0.25, kappa=0.05, gamma_m=0.02, Gamma=0.03,
+                        Gamma_phi=0.04, n_th=0.5, n_q=0.3)
+
+
+def _dense_liouvillian(p, cs, diss):
+    # column k of the dense Liouvillian is the right-hand side of the k-th
+    # row-major basis matrix
+    d = cs.dim
+    lio = np.empty((d * d, d * d), dtype=complex)
+    for k in range(d * d):
+        e = np.zeros(d * d, dtype=complex)
+        e[k] = 1.0
+        lio[:, k] = lindblad_rhs(e.reshape(d, d), p, cs, diss).reshape(-1)
+    return lio
 
 
 class TestRates:
@@ -53,6 +72,12 @@ class TestRates:
         got = photon_dephasing_rate(1e-5, 0.2, 10.0)
         assert abs(got - 4e-5 * 0.04 / math.log(1.1)) < 1e-18
         assert photon_dephasing_rate(1e-5, 0.2, 0.0) == 0.0
+
+    def test_photon_dephasing_rejects_negative_inputs(self):
+        with pytest.raises(ValueError):
+            photon_dephasing_rate(-1e-5, 0.2, 10.0)
+        with pytest.raises(ValueError):
+            photon_dephasing_rate(1e-5, 0.2, -1.0)
 
 
 class TestBuildDissipators:
@@ -150,8 +175,6 @@ class TestBuildDissipators:
             build_dissipators(p, CompositeSpace(3, 4), dephasing_rate=-0.5)
 
     def test_rejects_negative_rate(self):
-        from triqom import DissipatorSpec
-        from scipy import sparse
         with pytest.raises(ValueError):
             DissipatorSpec("bad", -1.0, sparse.identity(4, format="csr"))
 
@@ -188,6 +211,22 @@ class TestRhs:
         a_full = embed(destroy(12), cs, "cavity")
         got = traj.states[-1].expect(a_full)
         assert abs(got - math.exp(-0.05)) < 1e-6
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("channels", ["none", "all_seven", "caller_csc"])
+    def test_matches_rhs_entry_by_entry(self, channels):
+        cs = CompositeSpace(2, 3)
+        # a real operator in CSC format, built the way a caller would
+        x_cav = embed(destroy(2) + destroy(2).T, cs, "cavity").real
+        diss = {
+            "none": [],
+            "all_seven": build_dissipators(ALL_RATES, cs),
+            "caller_csc": [DissipatorSpec("cavity_x", 0.05, sparse.csc_matrix(x_cav))],
+        }[channels]
+        got = _liouvillian(ALL_RATES, cs, diss)
+        want = _dense_liouvillian(ALL_RATES, cs, diss)
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14
 
 
 class TestIntegrate:
@@ -239,19 +278,12 @@ class TestIntegrate:
 
     def test_matches_dense_liouvillian_exponential(self):
         from scipy.linalg import expm
-        p = ModelParams(g=0.2, lam=0.25, kappa=0.05, gamma_m=0.02, Gamma=0.03,
-                        Gamma_phi=0.04, n_th=0.5, n_q=0.3)
+        p = ALL_RATES
         cs = CompositeSpace(2, 3)
         diss = build_dissipators(p, cs)
         assert len(diss) == 7
         d = cs.dim
-        # column k of the dense Liouvillian is the right-hand side of the
-        # k-th row-major basis matrix
-        lio = np.empty((d * d, d * d), dtype=complex)
-        for k in range(d * d):
-            e = np.zeros(d * d, dtype=complex)
-            e[k] = 1.0
-            lio[:, k] = lindblad_rhs(e.reshape(d, d), p, cs, diss).reshape(-1)
+        lio = _dense_liouvillian(p, cs, diss)
         rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
         times = [0.0, 0.3, TWO_PI, 20.0]
         traj = integrate(rho0, p, times)

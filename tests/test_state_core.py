@@ -13,6 +13,7 @@ from triqom import (
     coherent_dim,
     coherent_state,
     displaced_fock,
+    entanglement_record,
     evolve_unitary,
     fock_state,
     integrate,
@@ -47,6 +48,7 @@ def test_composite_space_dims():
 
 _P = ModelParams(g=0.2, lam=0.25, alpha=0.5, beta=0.5)
 _TRIPARTITE = {
+    "entanglement_record": lambda psi: entanglement_record(psi, 0.0),
     "evolve_unitary": lambda psi: evolve_unitary(psi, 1.0, _P),
     "intrinsic_qc_numeric": intrinsic_qc_numeric,
     "lindblad_rhs": lambda psi: lindblad_rhs(psi.density_matrix(), _P),
