@@ -196,7 +196,11 @@ def parse_config(text: str) -> ScenarioConfig:
             Gamma=vals["Gamma"][0], Gamma_phi=vals["Gamma_phi"][0],
             n_th=vals["n_th"], n_q=vals["n_q"])
     except ValueError as exc:
-        raise ValueError(f"invalid physical parameters: {exc}") from None
+        # ModelParams' messages start with its field name; two fields are
+        # named differently from their config keys
+        field, _, rest = str(exc).partition(" ")
+        key = {"lam": "lambda", "nbar_mech": "nbar"}.get(field, field)
+        raise ValueError(f"key '{key}': {rest}") from None
 
     echo = {key: list(v) if isinstance(v, tuple) else v for key, v in vals.items()}
     return ScenarioConfig(

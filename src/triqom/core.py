@@ -464,8 +464,13 @@ def _lift(op: np.ndarray, cspace: CompositeSpace, label: str) -> sparse.csr_matr
     """CSR of a single-subsystem operator on the full composite space."""
     if label not in SUBSYSTEMS:
         raise ValueError(f"unknown subsystem {label!r}")
-    factors = [sparse.identity(d, dtype=complex, format="csr") for d in cspace.dims]
-    factors[SUBSYSTEMS.index(label)] = sparse.csr_matrix(op, dtype=complex)
+    k = SUBSYSTEMS.index(label)
+    d = cspace.dims[k]
+    if op.shape != (d, d):
+        raise ValueError(f"operator of shape {op.shape} does not act on subsystem "
+                         f"{label!r} of dimension {d}")
+    factors = [sparse.identity(n, dtype=complex, format="csr") for n in cspace.dims]
+    factors[k] = sparse.csr_matrix(op, dtype=complex)
     return sparse.kron(factors[0], sparse.kron(factors[1], factors[2]), format="csr")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 
 from .core import (
     CompositeSpace,
@@ -150,9 +150,10 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     return out
 
 
-def _liouvillian(params: ModelParams, cspace: CompositeSpace,
+def _liouvillian(h: sparse.csr_matrix,
                  dissipators: Sequence[DissipatorSpec]) -> sparse.csr_matrix:
-    """Liouvillian (CSR) acting on row-major-flattened density matrices.
+    """Liouvillian (CSR) of the Hamiltonian `h` (CSR) and the channels, acting
+    on row-major-flattened density matrices.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so the
     whole right-hand side collapses to one sparse matrix-vector product:
@@ -160,7 +161,7 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
     H_eff = H - i sum_k r_k O_k'O_k.  The memory cost is roughly
     dim * (total operator nnz), fine for the composite sizes used here.
     """
-    d = cspace.dim
+    d = h.shape[0]
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
     jump = sparse.csr_matrix((d * d, d * d), dtype=complex)
@@ -168,55 +169,70 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
         o = ch.operator
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
         jump = jump + (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
-    h_eff = hamiltonian(params, cspace, as_sparse=True) - 1j * gain
+    h_eff = h - 1j * gain
     lio = -1j * (sparse.kron(h_eff, eye, format="csr")
                  - sparse.kron(eye, h_eff.conj(), format="csr")) + jump
     lio.sort_indices()
     return lio
 
 
-# theta_m for the backward-error tolerance 2^-53 (Higham, Functions of
-# Matrices, Table A.3 for m <= 30; Al-Mohy & Higham, SIAM J. Sci. Comput. 33
-# (2011) 488, Table 3.1 beyond).  When ||t A||_1 / s <= theta_m, the degree-m
-# Taylor polynomial of exp(t A / s) is the exact exponential of a matrix
-# within relative distance 2^-53 of t A / s.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-_UNIT_ROUNDOFF = 2.0 ** -53
+def _spectral_radius(h: sparse.csr_matrix,
+                     dissipators: Sequence[DissipatorSpec]) -> float:
+    """Half-width R of the strip that holds the spectrum of the Liouvillian.
 
-
-def _expm_action(lio: sparse.csr_matrix, norm1: float, span: float,
-                 v: np.ndarray) -> np.ndarray:
-    """exp(span * lio) @ v by Al-Mohy & Higham (2011), Algorithm 3.2.
-
-    `norm1` is the exact 1-norm of `lio`.  The Taylor degree m and the number
-    of scaling steps s minimise the product count m * s subject to
-    span * norm1 / s <= theta_m; each series stops early once two successive
-    terms fall below 2^-53 of the partial sum.
+    The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
+    i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
+    dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
+    conj(O_k), G = sum_k r_k O_k'O_k, adds at most ||D||_1 <= sum_k 2 r_k
+    ||O_k||_1 (||O_k||_inf + ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1
+    and ||O'||_1 = ||O||_inf; the bound keeps R > 0 when S = 0.  Everything
+    is measured on d x d operators.
     """
-    m, s = min(((m, max(1, math.ceil(span * norm1 / theta)))
-                for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
-    h = span / s
-    for _ in range(s):
-        term = v
-        c1 = np.abs(term).max()
-        v = v.copy()
-        for j in range(1, m + 1):
-            term = lio @ term
-            term *= h / j
-            v += term
-            c2 = np.abs(term).max()
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(v).max():
-                break
-            c1 = c2
-    return v
+    energies = np.linalg.eigvalsh(h.toarray())
+    bound = 0.0
+    for ch in dissipators:
+        mag = abs(ch.operator)
+        col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
+        bound += 2.0 * ch.rate * col * (row + col)
+    return float(energies[-1] - energies[0] + bound)
+
+
+def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
+                      span: float, v: np.ndarray) -> np.ndarray:
+    """exp(span * lio) @ v by the Chebyshev-Bessel expansion.
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967: with Y = (lio - mu) /
+    (i radius) and tau = span * radius,
+    exp(span lio) = e^{span mu} [J_0(tau) + 2 sum_{k>=1} i^k J_k(tau) T_k(Y)].
+    The vectors carry the i^k: U_k = i^k T_k(Y) v obeys U_{k+1} =
+    (2 / radius)(lio - mu) U_k + U_{k-1}, so mu and 1/(i radius) become two
+    real scalars of the recurrence and no scaled copy of `lio` is formed.
+    The series stops once k > tau and a term falls below 2^-53 of the
+    partial sum.
+    """
+    if radius == 0.0:  # H a multiple of the identity and no channel: lio = 0
+        return v.copy()
+    tau = span * radius
+    # J_k(tau) decays faster than any exponential once k > tau; 2 tau + 64
+    # terms take it far below 2^-53
+    coef = 2.0 * special.jv(np.arange(2 * math.ceil(tau) + 64), tau)
+    s = 2.0 / radius
+    prev, cur = v, lio @ v
+    cur -= mu * v
+    cur *= 0.5 * s
+    out = (0.5 * coef[0]) * v + coef[1] * cur
+    tmp = np.empty_like(out)  # one scratch vector: fresh temporaries cost page faults
+    for k in range(2, coef.size):
+        nxt = lio @ cur
+        nxt -= np.multiply(cur, mu, out=tmp)
+        nxt *= s
+        nxt += prev
+        prev, cur = cur, nxt
+        out += np.multiply(cur, coef[k], out=tmp)
+        if k > tau and coef[k] * np.abs(cur).max() <= 2.0 ** -53 * np.abs(out).max():
+            return math.exp(span * mu) * out
+    raise IntegrationError(f"Chebyshev series did not converge within {coef.size} terms "
+                           f"(tau = {tau:.3g})")
 
 
 # every propagated sample must keep its trace within _TRACE_TOL of 1 and no
@@ -247,11 +263,13 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     """Propagate the master equation from t = 0 and sample at `times`.
 
     The generator does not depend on time, so each sample is exp((t_k -
-    t_{k-1}) L) applied to the previous one, computed as a scaled truncated
-    Taylor series with a 2^-53 backward-error bound (`config.dt` plays no
-    part).  Each propagated sample is symmetrized once and checked for trace
-    drift and positivity.  Sample times must be nonnegative and
-    strictly increasing.
+    t_{k-1}) L) applied to the previous one, computed by the Chebyshev-Bessel
+    expansion of that action (`config.dt` plays no part).  Its cost is set by
+    the Bohr spread of the truncated H (plus a bound on the dissipative part
+    of L), not by the norm of L: about tau + O(tau^(1/3)) sparse products
+    for tau = (t_k - t_{k-1}) * radius.  Each propagated sample is
+    symmetrized once and checked for trace drift and positivity.  Sample
+    times must be nonnegative and strictly increasing.
     """
     times = [float(t) for t in times]
     if not times:
@@ -261,8 +279,10 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     cspace = CompositeSpace.of(rho0.space)
     if dissipators is None:
         dissipators = build_dissipators(params, cspace)
-    lio = _liouvillian(params, cspace, dissipators)
-    norm1 = float(np.bincount(lio.indices, weights=np.abs(lio.data)).max(initial=0.0))
+    h = hamiltonian(params, cspace, as_sparse=True)
+    lio = _liouvillian(h, dissipators)
+    mu = float(lio.diagonal().real.mean())
+    radius = _spectral_radius(h, dissipators)
 
     d = rho0.space.dim
     mat = rho0.matrix
@@ -270,7 +290,8 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     samples = []
     for target in times:
         if target > t_now:
-            mat = _expm_action(lio, norm1, target - t_now, mat.reshape(-1)).reshape(d, d)
+            mat = _chebyshev_action(lio, mu, radius, target - t_now,
+                                    mat.reshape(-1)).reshape(d, d)
             mat = 0.5 * (mat + mat.conj().T)
             t_now = target
         tr = np.trace(mat).real

@@ -1,0 +1,141 @@
+"""Golden fingerprints of the quick shipped scenarios' outputs.
+
+    python tests/golden_outputs.py
+
+runs the eight quick configs under `scenarios/` through the CLI and writes
+`tests/golden_outputs.json`.  For each data file and manifest it records a
+sha256 of the bytes (a manifest is hashed without `duration_seconds`) and,
+per column, the count, min, max and `math.fsum` of the values and of their
+squares.  A CSV column is a header column, a Wigner grid is one column `W`,
+and a manifest column is a numeric entry outside its `config` echo.  The
+file also records the numpy/scipy/BLAS build, because digests hold for one
+build only.
+
+`TestShippedScenarios::test_quick_config_runs` compares its outputs with the
+file.  A change that moves these numbers on purpose regenerates the file with
+this script and states which files moved, by how much and why.
+"""
+import hashlib
+import json
+import math
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_outputs.json"
+SCENARIOS = HERE.parent / "scenarios"
+QUICK = [
+    "fock_base.cfg",
+    "fock_maximal.cfg",
+    "cat_two_lobe.cfg",
+    "cat_five_lobe.cfg",
+    "kitten_conditional.cfg",
+    "kitten_unconditional.cfg",
+    "kitten_optimal.cfg",
+    "kitten_fidelity_scan.cfg",
+]
+STATS = ("count", "min", "max", "sum", "sum_sq")
+
+
+def build() -> dict:
+    """The numpy/scipy/BLAS build and the CPU extensions it runs on."""
+    cfg = np.show_config(mode="dicts")
+    blas = cfg["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas.get("openblas configuration", f"{blas['name']} {blas['version']}"),
+            "simd": cfg["SIMD Extensions"].get("found", []),
+            "machine": platform.machine()}
+
+
+def _stats(values) -> dict:
+    vals = [float(v) for v in values]
+    return {"count": len(vals), "min": min(vals), "max": max(vals),
+            "sum": math.fsum(vals), "sum_sq": math.fsum(v * v for v in vals)}
+
+
+def _manifest_columns(node, prefix=""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _manifest_columns(value, f"{prefix}{key}.")
+    elif isinstance(node, list) and node and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
+        yield prefix[:-1], node
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield prefix[:-1], [node]
+
+
+def fingerprint(out_dir: Path) -> dict:
+    """{file name: {"sha256": hex digest, "columns": {column: stats}}} of a run."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "manifest.json":
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            del meta["duration_seconds"]
+            data = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
+            meta.pop("config")
+            columns = dict(_manifest_columns(meta))
+        else:
+            data = path.read_bytes()
+            lines = data.decode("utf-8").splitlines()
+            if path.suffix == ".csv":
+                names = lines[0].split(",")
+                columns = dict(zip(names, zip(*(ln.split(",") for ln in lines[1:]))))
+            else:  # Wigner grid: two axis lines, then the value block
+                columns = {"W": [v for ln in lines[2:] for v in ln.split()]}
+        files[path.name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                            "columns": {k: _stats(v) for k, v in columns.items()}}
+    return files
+
+
+def deltas(want: dict, got: dict, rtol: float = 0.0) -> list[str]:
+    """One line per column statistic of `got` that differs from `want` by more
+    than rtol times the column's scale (its largest magnitude, times the count
+    for sums, squared for sums of squares); counts must match exactly."""
+    lines = []
+    for name in sorted(set(want) | set(got)):
+        if name not in want or name not in got:
+            lines.append(f"{name}: only in {'golden file' if name in want else 'this run'}")
+            continue
+        w_cols, g_cols = want[name]["columns"], got[name]["columns"]
+        for col in sorted(set(w_cols) | set(g_cols)):
+            w, g = w_cols.get(col), g_cols.get(col)
+            if w is None or g is None or w["count"] != g["count"]:
+                lines.append(f"{name} {col}: count {w and w['count']} -> {g and g['count']}")
+                continue
+            mag = max(abs(w["min"]), abs(w["max"]))
+            scale = {"min": mag, "max": mag, "sum": w["count"] * mag,
+                     "sum_sq": w["count"] * mag * mag}
+            for stat in STATS[1:]:
+                d = g[stat] - w[stat]
+                if abs(d) > rtol * scale[stat]:
+                    lines.append(f"{name} {col} {stat}: {w[stat]!r} -> {g[stat]!r} "
+                                 f"(delta {d:.3e})")
+    return lines
+
+
+def main() -> int:
+    sys.path.insert(0, str(HERE.parent / "src"))
+    from triqom.cli import main as cli
+
+    configs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in QUICK:
+            out = Path(tmp) / Path(name).stem
+            code = cli(["run", str(SCENARIOS / name), "--out", str(out), "--quiet"])
+            if code != 0:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return 1
+            configs[name] = fingerprint(out)
+    GOLDEN.write_text(json.dumps({"build": build(), "configs": configs}, indent=1,
+                                 sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

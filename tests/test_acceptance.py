@@ -53,6 +53,7 @@ from triqom.nonclassical import (
 )
 from triqom.cli import main, parse_config
 
+import golden_outputs
 from conftest import (
     TWO_PI,
     coherent_vec,
@@ -64,6 +65,11 @@ from conftest import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = json.loads(golden_outputs.GOLDEN.read_text(encoding="utf-8"))
+# on a build other than the recorded one, digests may differ; each column
+# statistic may then move by this fraction of the column's scale, which covers
+# BLAS rounding carried through the eigensolves and the kitten g search
+GOLDEN_RTOL = 1e-6
 
 
 def _fock_initial_dense(beta, n_cav, n_mech):
@@ -299,17 +305,8 @@ def test_10_measure_property_suite():
 class TestShippedScenarios:
     """The configs under scenarios/ parse, and the quick ones run end to end."""
 
-    QUICK = [
-        "fock_base.cfg",
-        "fock_maximal.cfg",
-        "cat_two_lobe.cfg",
-        "cat_five_lobe.cfg",
-        "kitten_conditional.cfg",
-        "kitten_unconditional.cfg",
-        "kitten_optimal.cfg",
-        "kitten_fidelity_scan.cfg",
-    ]
-    # coherent_series (about 17 s on 2 cores) and open_sweep (about 2 min) are
+    QUICK = golden_outputs.QUICK
+    # coherent_series (about 17 s on 2 cores) and open_sweep (19-45 s) are
     # too slow for the suite; they are validated by parsing only (the physics
     # they produce is covered above at matched parameters)
     SLOW = ["coherent_series.cfg", "open_sweep.cfg"]
@@ -331,3 +328,15 @@ class TestShippedScenarios:
         meta = json.loads(manifest.read_text(encoding="utf-8"))
         for rel in meta["outputs"]:
             assert (out / rel).is_file(), f"declared output {rel} missing"
+        want = GOLDEN["configs"][name]
+        got = golden_outputs.fingerprint(out)
+        if GOLDEN["build"] == golden_outputs.build():
+            moved = sorted(f for f in set(want) | set(got)
+                           if f not in want or f not in got
+                           or got[f]["sha256"] != want[f]["sha256"])
+            assert not moved, (
+                f"{name}: {moved} differ from tests/golden_outputs.json; "
+                "fingerprint deltas:\n" + "\n".join(golden_outputs.deltas(want, got)))
+        else:
+            far = golden_outputs.deltas(want, got, rtol=GOLDEN_RTOL)
+            assert not far, f"{name}, on another build:\n" + "\n".join(far)

@@ -351,6 +351,15 @@ class TestExitCodes:
         assert code == 1
         assert "lambda" in capsys.readouterr().err
 
+    def test_model_parameter_error_names_the_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nnbar = -1\n",
+                       encoding="utf-8")
+        code = main(["run", str(cfg), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "key 'nbar'" in err and "nbar_mech" not in err
+
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 2\n"
                 "n_cav = 2\nn_mech = 4\n")

@@ -29,7 +29,7 @@ from triqom import (
 from scipy import sparse
 
 from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
-from triqom.dynamics import evolve_fock_superposition
+from triqom.dynamics import evolve_fock_superposition, hamiltonian
 from triqom.lindblad import DissipatorSpec, _liouvillian
 
 from conftest import TWO_PI, random_density
@@ -51,6 +51,20 @@ def _dense_liouvillian(p, cs, diss):
         e[k] = 1.0
         lio[:, k] = lindblad_rhs(e.reshape(d, d), p, cs, diss).reshape(-1)
     return lio
+
+
+def _assert_matches_dense_exponential(p, cs):
+    from scipy.linalg import expm
+    diss = build_dissipators(p, cs)
+    d = cs.dim
+    lio = _dense_liouvillian(p, cs, diss)
+    rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
+    times = [0.0, 0.3, TWO_PI, 20.0]
+    traj = integrate(rho0, p, times)
+    assert np.array_equal(traj.states[0].matrix, rho0.matrix)
+    for t, state in zip(times, traj.states):
+        want = (expm(t * lio) @ rho0.matrix.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(state.matrix - want)) <= 1e-10
 
 
 class TestRates:
@@ -224,7 +238,7 @@ class TestLiouvillian:
             "all_seven": build_dissipators(ALL_RATES, cs),
             "caller_csc": [DissipatorSpec("cavity_x", 0.05, sparse.csc_matrix(x_cav))],
         }[channels]
-        got = _liouvillian(ALL_RATES, cs, diss)
+        got = _liouvillian(hamiltonian(ALL_RATES, cs, as_sparse=True), diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
         assert np.max(np.abs(got.toarray() - want)) <= 1e-14
 
@@ -277,20 +291,35 @@ class TestIntegrate:
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-6
 
     def test_matches_dense_liouvillian_exponential(self):
-        from scipy.linalg import expm
-        p = ALL_RATES
-        cs = CompositeSpace(2, 3)
-        diss = build_dissipators(p, cs)
+        diss = build_dissipators(ALL_RATES, CompositeSpace(2, 3))
         assert len(diss) == 7
-        d = cs.dim
-        lio = _dense_liouvillian(p, cs, diss)
-        rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
-        times = [0.0, 0.3, TWO_PI, 20.0]
-        traj = integrate(rho0, p, times)
-        assert np.array_equal(traj.states[0].matrix, rho0.matrix)
-        for t, state in zip(times, traj.states):
-            want = (expm(t * lio) @ rho0.matrix.reshape(-1)).reshape(d, d)
-            assert np.max(np.abs(state.matrix - want)) <= 1e-10
+        _assert_matches_dense_exponential(ALL_RATES, CompositeSpace(2, 3))
+
+    @pytest.mark.parametrize("case", ["dissipation_beyond_spread", "zero_spread",
+                                      "zero_spread_no_channel"])
+    def test_matches_dense_exponential_off_the_shipped_rates(self, case):
+        p, cs = {
+            # 40 x ALL_RATES: the dissipative part of L outweighs the Bohr
+            # spread of H, the non-normal regime the expansion has no a priori
+            # bound for
+            "dissipation_beyond_spread": (
+                ALL_RATES.with_rates(kappa=2.0, gamma_m=0.8, Gamma=1.2, Gamma_phi=1.6),
+                CompositeSpace(2, 3)),
+            # g = lam = 0 and one mechanics level: H = 0, so only the bound on
+            # the dissipative part sets the expansion's radius
+            "zero_spread": (ALL_RATES.with_rates(g=0.0, lam=0.0), CompositeSpace(3, 1)),
+            "zero_spread_no_channel": (ModelParams(g=0.0, lam=0.0), CompositeSpace(3, 1)),
+        }[case]
+        energies = np.linalg.eigvalsh(hamiltonian(p, cs))
+        spread = energies[-1] - energies[0]
+        diss = build_dissipators(p, cs)
+        dissipative = _dense_liouvillian(p, cs, diss) - _dense_liouvillian(p, cs, [])
+        norm1 = np.abs(dissipative).sum(axis=0).max()
+        if case == "dissipation_beyond_spread":
+            assert len(diss) == 7 and norm1 > spread
+        else:
+            assert spread == 0.0 and (norm1 > 0.0) == (case == "zero_spread")
+        _assert_matches_dense_exponential(p, cs)
 
     def test_positivity_violation_aborts(self):
         p = ModelParams(g=0.1, lam=0.2)

@@ -26,7 +26,7 @@ from triqom import (
     tensor,
     thermal_density,
 )
-from triqom.core import SUBSYSTEMS, embed
+from triqom.core import SUBSYSTEMS, destroy, embed
 
 from conftest import (
     TWO_PI,
@@ -263,6 +263,13 @@ def test_embed_round_trip():
     tq = sz.reshape(2, 12, 2, 12)
     recovered_q = np.einsum("iaja->ij", tq) / 12
     assert np.max(np.abs(recovered_q - np.diag([1.0, -1.0]))) < 1e-12
+
+
+def test_embed_rejects_operator_of_wrong_size():
+    # a 3-level cavity operator on a 2-level cavity would lift to 18 x 18 on a
+    # 12-dimensional space
+    with pytest.raises(ValueError, match="'cavity' of dimension 2"):
+        embed(destroy(3), CompositeSpace(2, 3), "cavity")
 
 
 def test_pure_state_immutable():
