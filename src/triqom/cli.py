@@ -24,6 +24,7 @@ from .core import (
     ModelParams,
     coherent_dim,
     coherent_state,
+    displaced_fock,
     mechanics_dim,
     qubit_state,
     tensor,
@@ -270,10 +271,9 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
-    family_ncav = 2 if cfg.scenario == "fock-entanglement" else coherent_dim(cfg.params.alpha)
-    n_cav = cfg.n_cav if cfg.n_cav is not None else family_ncav
-    n_mech = cfg.n_mech if cfg.n_mech is not None else mechanics_dim(cfg.params, n_cav)
-    return CompositeSpace(n_cav, n_mech)
+    n_cav = cfg.n_cav or (2 if cfg.scenario == "fock-entanglement"
+                          else coherent_dim(cfg.params.alpha))
+    return CompositeSpace(n_cav, cfg.n_mech or mechanics_dim(cfg.params, n_cav))
 
 
 def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path,
@@ -306,8 +306,7 @@ def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path,
 def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     cspace = _closed_spaces(cfg)
-    # initial tails loosened: modest cutoffs keep the Liouvillian (d^2 x d^2,
-    # d = 2 n_cav n_mech) small, and the lost weight is reported below
+    # tails up to 1e-3 let explicit cutoffs keep the d^2 x d^2 Liouvillian small
     cav = coherent_state(params.alpha, cspace.n_cav, label="cavity", tail_tol=1e-3)
     mech = coherent_state(params.beta, cspace.n_mech, label="mech", tail_tol=1e-3)
     rho0 = tensor(qubit_state(1.0, 1.0), cav, mech).density_matrix()
@@ -361,21 +360,21 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
 
 def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
-    dim = cfg.n_cav if cfg.n_cav is not None else coherent_dim(params.alpha) + 5
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     rows = []
-    max_discard = 0.0
     for g in gs:
-        p = params.with_rates(g=float(g))
-        state = projected_qubit_state(cfg.l, p, +1, dim)
+        state = projected_qubit_state(cfg.l, params.with_rates(g=float(g)), +1, cfg.n_cav)
         rows.append((float(g), fidelity_displaced_fock(state, params.alpha, 1)))
-        max_discard = max(max_discard, state.discarded_weight)
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
     _write_csv(out_dir / "fidelity.csv", "g,fidelity", rows)
+    dim = state.space.dims[0]
+    target = displaced_fock(params.alpha, 1, dim)  # its tail bounds the fidelity error
     manifest["outputs"].append("fidelity.csv")
     manifest["truncations"] = {"n_cav": dim}
-    manifest["tail_weights"] = {"max_discarded_weight": max_discard}
+    # every g keeps the same exact coherent tail
+    manifest["tail_weights"] = {"max_discarded_weight": state.discarded_weight,
+                                "target_discarded_weight": target.discarded_weight}
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 

@@ -6,6 +6,7 @@ in row-major (C) order, so basis state |q, n, m> sits at index
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -146,7 +147,7 @@ class ModelParams:
     n_q: float | None = None
 
     def __post_init__(self):
-        for name in ("g", "lam"):
+        for name in ("g", "lam", "alpha", "beta"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -246,20 +247,43 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# truncation sizing
+# truncation sizing: each default cutoff is the smallest n with tail(n) <= _TAIL_EPS
+
+_TAIL_EPS = 1e-14
+_MECH_CEILING = 600
+
+
+def _poisson_tail(n, alpha: complex):
+    """Weight of |alpha> beyond n levels: P(N >= n) for N ~ Poisson(|alpha|^2)."""
+    return special.gammainc(n, abs(alpha) ** 2)
+
+
+def _geometric_tail(n, nbar: float):
+    """Weight of a thermal state beyond n levels: (nbar / (1 + nbar))^n."""
+    return (nbar / (nbar + 1.0)) ** n
+
+
+def _cutoff(tail) -> int:
+    """Smallest n >= 1 with tail(n) <= _TAIL_EPS, for a nonincreasing tail(n)."""
+    hi = 1
+    while not tail(hi) <= _TAIL_EPS:
+        if math.isnan(tail(hi)) or hi > 2 ** 60:
+            raise ValueError(f"no cutoff reaches a tail of {_TAIL_EPS:.0e}: "
+                             f"tail({hi}) = {tail(hi)}")
+        hi *= 2
+    # tail(hi // 2) > eps, so the cutoff lies in (hi // 2, hi]
+    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2 + 1,
+                              key=lambda n: tail(n) <= _TAIL_EPS)
+
 
 def coherent_dim(alpha: complex) -> int:
-    """Fock cutoff holding a coherent state's tail below ~1e-10."""
-    a = abs(alpha)
-    return int(math.ceil(a * a + 7.0 * a + 10.0))
+    """Smallest Fock cutoff whose coherent-state tail is <= 1e-14."""
+    return _cutoff(lambda n: _poisson_tail(n, alpha))
 
 
 def thermal_dim(nbar: float) -> int:
-    """Fock cutoff for a thermal state, 20 quanta per unit of occupancy."""
-    return int(math.ceil(20.0 * (nbar + 1.0)))
-
-
-_MECH_CEILING = 600
+    """Smallest Fock cutoff whose thermal-state tail is <= 1e-14."""
+    return _cutoff(lambda n: _geometric_tail(n, nbar))
 
 
 def mechanics_dim(params: ModelParams, n_cav: int) -> int:
@@ -271,13 +295,10 @@ def mechanics_dim(params: ModelParams, n_cav: int) -> int:
     clamped; pass an explicit n_mech to go beyond it.
     """
     reach = abs(params.beta) + 2.0 * (abs(params.g) * (n_cav - 1) + abs(params.lam))
-    dim = coherent_dim(reach)
-    if params.nbar_mech > 0:
-        dim = max(dim, thermal_dim(params.nbar_mech))
+    dim = max(coherent_dim(reach), thermal_dim(params.nbar_mech))
     if dim > _MECH_CEILING:
-        raise ValueError(
-            f"mechanics cutoff {dim} exceeds the ceiling {_MECH_CEILING}; "
-            f"set n_mech explicitly to run at that size")
+        raise ValueError(f"mechanics cutoff {dim} exceeds the ceiling {_MECH_CEILING}; "
+                         f"set n_mech explicitly to run at that size")
     return dim
 
 
@@ -286,6 +307,13 @@ def mechanics_dim(params: ModelParams, n_cav: int) -> int:
 
 def _single(label: str, dim: int) -> Space:
     return Space((label,), (int(dim),))
+
+
+def _checked(kind: str, tail: float, dim: int, tail_tol: float) -> float:
+    if tail > tail_tol:
+        raise ValueError(f"{kind} tail {tail:.3e} beyond dim {dim} exceeds "
+                         f"tolerance {tail_tol:.1e}")
+    return tail
 
 
 def fock_state(n: int, dim: int, label: str = "cavity") -> PureState:
@@ -308,9 +336,11 @@ def coherent_amplitudes(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """Unnormalized Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!), log-stable.
 
     Vectorized over `alpha`: the result has shape alpha.shape + (dim,), and each
-    zero amplitude gives the vacuum row.
+    zero amplitude gives the vacuum row.  A non-finite amplitude raises.
     """
     a = np.asarray(alpha, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     n = np.arange(dim)
     out = np.zeros(a.shape + (dim,), dtype=complex)
     out[..., 0] = 1.0
@@ -327,39 +357,24 @@ def coherent_state(alpha: complex, dim: int, label: str = "cavity",
 
     Raises if the exact Poisson tail beyond `dim` exceeds `tail_tol`.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    space = _single(label, dim)
     vec = coherent_amplitudes(alpha, dim)
-    tail = float(special.gammainc(dim, abs(alpha) ** 2))  # P(N >= dim) for Poisson
-    if tail > tail_tol:
-        raise ValueError(
-            f"coherent tail {tail:.3e} beyond dim {dim} exceeds tolerance {tail_tol:.1e}"
-        )
+    tail = _checked("coherent", float(_poisson_tail(dim, alpha)), dim, tail_tol)
     vec /= np.linalg.norm(vec)
-    return PureState(_single(label, dim), vec, discarded_weight=tail)
+    return PureState(space, vec, discarded_weight=tail)
 
 
 def thermal_density(nbar: float, dim: int, label: str = "mech",
                     tail_tol: float = 1e-6) -> DensityMatrix:
     """Truncated thermal (geometric) state, renormalized, tail recorded."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if nbar == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        tail = 0.0
-    else:
-        ratio = nbar / (nbar + 1.0)
-        p = np.exp(np.arange(dim) * math.log(ratio)) / (nbar + 1.0)
-        tail = ratio ** dim
-        if tail > tail_tol:
-            raise ValueError(
-                f"thermal tail {tail:.3e} beyond dim {dim} exceeds tolerance {tail_tol:.1e}"
-            )
-        p /= p.sum()
-    return DensityMatrix(_single(label, dim), np.diag(p.astype(complex)), float(tail))
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    space = _single(label, dim)
+    tail = _checked("thermal", _geometric_tail(dim, nbar), dim, tail_tol)
+    # xlogy(0, 0) = 0, so nbar = 0 gives the vacuum
+    p = np.exp(special.xlogy(np.arange(dim), nbar / (nbar + 1.0))) / (nbar + 1.0)
+    p /= p.sum()
+    return DensityMatrix(space, np.diag(p.astype(complex)), float(tail))
 
 
 def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
@@ -370,25 +385,18 @@ def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
     raising operator only moves weight upward, so every kept level is exact and
     the lost weight is the tail beyond `dim`.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if n >= dim:
-        raise ValueError(f"Fock index {n} outside dim {dim}")
+    space = _single(label, dim)
+    if not 0 <= n < dim:
+        raise ValueError(f"Fock index {n} outside [0, {dim})")
     coeffs = coherent_amplitudes(alpha, dim)
     sq = np.sqrt(np.arange(1, dim))
     for k in range(1, n + 1):
         raised = np.concatenate(([0.0], sq * coeffs[:-1]))
         coeffs = (raised - np.conj(alpha) * coeffs) / math.sqrt(k)
     captured = float(np.vdot(coeffs, coeffs).real)
-    tail = max(0.0, 1.0 - captured)
-    if tail > tail_tol:
-        raise ValueError(
-            f"displaced-Fock tail {tail:.3e} beyond dim {dim} exceeds tolerance {tail_tol:.1e}"
-        )
+    tail = _checked("displaced-Fock", max(0.0, 1.0 - captured), dim, tail_tol)
     coeffs /= math.sqrt(captured)
-    return PureState(_single(label, dim), coeffs, discarded_weight=tail)
+    return PureState(space, coeffs, discarded_weight=tail)
 
 
 # ---------------------------------------------------------------------------

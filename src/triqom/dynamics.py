@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     CompositeSpace,
@@ -22,6 +21,7 @@ from .core import (
     PureState,
     Space,
     _operators,
+    _poisson_tail,
     coherent_amplitudes,
     coherent_dim,
     mechanics_dim,
@@ -184,7 +184,8 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
     """Pure qubit-cavity state after l full mechanical periods (t = 2 pi l).
 
     The oscillator factors out exactly (eta vanishes); each photon branch keeps
-    the phase exp(i (g n +/- lam)^2 2 pi l) on its spin component.
+    the phase exp(i (g n +/- lam)^2 2 pi l) on its spin component.  The
+    discarded weight is the cavity's exact Poisson tail beyond n_cav.
     """
     if l < 0 or int(l) != l:
         raise ValueError("cycle count l must be a nonnegative integer")
@@ -196,8 +197,8 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         raise ValueError("state lost entirely to truncation")
-    space = Space(("qubit", "cavity"), (2, n_cav))
-    return PureState(space, vec / nrm, discarded_weight=max(0.0, 1.0 - float(nrm) ** 2))
+    return PureState(Space(("qubit", "cavity"), (2, n_cav)), vec / nrm,
+                     discarded_weight=float(_poisson_tail(n_cav, params.alpha)))
 
 
 def evolve_thermal(t: float, params: ModelParams,
@@ -212,7 +213,6 @@ def evolve_thermal(t: float, params: ModelParams,
         cspace = default_composite_space(params, family="thermal")
     nc, nm = cspace.n_cav, cspace.n_mech
     cav = coherent_amplitudes(params.alpha, nc)
-    cav_tail = float(special.gammainc(nc, abs(params.alpha) ** 2))
     psi_qc = np.concatenate([cav, cav]) / math.sqrt(2.0)
     psi_qc /= np.linalg.norm(psi_qc)
     th = thermal_density(params.nbar_mech, nm)
@@ -220,8 +220,8 @@ def evolve_thermal(t: float, params: ModelParams,
     x = psi_qc[None, :, None] * np.diag(np.sqrt(p))[:, None, :]
     y = _propagate(x, t, params).reshape(nm, -1)
     rho = y.T @ y.conj()
-    w_total = 1.0 - (1.0 - cav_tail) * (1.0 - th.discarded_weight)
-    return DensityMatrix(cspace.space, rho, discarded_weight=w_total)
+    w_total = 1.0 - (1.0 - _poisson_tail(nc, params.alpha)) * (1.0 - th.discarded_weight)
+    return DensityMatrix(cspace.space, rho, discarded_weight=float(w_total))
 
 
 @dataclass(frozen=True)
@@ -247,10 +247,7 @@ class Trajectory:
 def default_composite_space(params: ModelParams, family: str = "coherent") -> CompositeSpace:
     """Truncation defaults: Poisson tail rule for the cavity, worst-case
     displacement reach (plus any thermal floor) for the mechanics."""
-    if family == "fock":
-        n_cav = 2
-    elif family in ("coherent", "thermal"):
-        n_cav = coherent_dim(params.alpha)
-    else:
+    if family not in ("fock", "coherent", "thermal"):
         raise ValueError(f"unknown family {family!r}")
+    n_cav = 2 if family == "fock" else coherent_dim(params.alpha)
     return CompositeSpace(n_cav, mechanics_dim(params, n_cav))

@@ -22,7 +22,6 @@ from .core import (
     ModelParams,
     PureState,
     Space,
-    coherent_dim,
     displaced_fock,
     partial_trace,
 )
@@ -243,10 +242,8 @@ def fidelity_displaced_fock(state: PureState | DensityMatrix, alpha: complex,
     if len(state.space.labels) != 1:
         raise ValueError("fidelity target needs a single-mode state")
     dim = state.space.dims[0]
-    target = displaced_fock(alpha, n, dim, label=state.space.labels[0])
-    if isinstance(state, PureState):
-        return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
-    return float(np.real(target.amplitudes.conj() @ state.matrix @ target.amplitudes))
+    t = displaced_fock(alpha, n, dim, label=state.space.labels[0]).amplitudes
+    return float(np.real(t.conj() @ _cavity_matrix(state) @ t))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -278,11 +275,10 @@ def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
     lo, hi = g_range
     if not (0 < lo < hi):
         raise ValueError("need 0 < g_lo < g_hi")
-    dim = coherent_dim(alpha) + 5
 
     def f(g: float) -> float:
         p = ModelParams(g=g, lam=lam, alpha=alpha)
-        return fidelity_displaced_fock(projected_qubit_state(l, p, +1, dim), alpha, 1)
+        return fidelity_displaced_fock(projected_qubit_state(l, p, +1), alpha, 1)
 
     gs = np.linspace(lo, hi, coarse)
     vals = np.array([f(g) for g in gs])

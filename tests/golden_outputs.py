@@ -2,8 +2,15 @@
 
     python tests/golden_outputs.py
 
-runs the eight quick configs under `scenarios/` through the CLI and writes
-`tests/golden_outputs.json`.  For each data file and manifest it records a
+runs scenario configs through the CLI and writes `tests/golden_outputs.json`
+in two sections:
+
+- `configs`: the eight quick configs under `scenarios/`;
+- `slow`: `coherent_series.cfg` and `open_sweep.cfg` (about a minute between
+  them), and the `open-cell` and `closed-series` configs that
+  `perfbench.workloads.setup` writes for seeds 1 and 2.
+
+For each data file and manifest it records a
 sha256 of the bytes (a manifest is hashed without `duration_seconds`) and,
 per column, the count, min, max and `math.fsum` of the values and of their
 squares.  A CSV column is a header column, a Wigner grid is one column `W`,
@@ -12,8 +19,10 @@ file also records the numpy/scipy/BLAS build, because digests hold for one
 build only.
 
 `TestShippedScenarios::test_quick_config_runs` compares its outputs with the
-file.  A change that moves these numbers on purpose regenerates the file with
-this script and states which files moved, by how much and why.
+`configs` section.  No test reads the `slow` one: rerun the script and
+`git diff` the file.  A change that moves these numbers on purpose
+regenerates the file with this script and states which files moved, by how
+much and why.
 """
 import hashlib
 import json
@@ -27,8 +36,9 @@ import numpy as np
 import scipy
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 GOLDEN = HERE / "golden_outputs.json"
-SCENARIOS = HERE.parent / "scenarios"
+SCENARIOS = ROOT / "scenarios"
 QUICK = [
     "fock_base.cfg",
     "fock_maximal.cfg",
@@ -39,6 +49,8 @@ QUICK = [
     "kitten_optimal.cfg",
     "kitten_fidelity_scan.cfg",
 ]
+SLOW = ["coherent_series.cfg", "open_sweep.cfg"]
+PERFBENCH = [("open-cell", 1), ("open-cell", 2), ("closed-series", 1), ("closed-series", 2)]
 STATS = ("count", "min", "max", "sum", "sum_sq")
 
 
@@ -119,19 +131,25 @@ def deltas(want: dict, got: dict, rtol: float = 0.0) -> list[str]:
 
 
 def main() -> int:
-    sys.path.insert(0, str(HERE.parent / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from perfbench.workloads import setup
     from triqom.cli import main as cli
 
-    configs = {}
+    sections = {"configs": {}, "slow": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in QUICK:
-            out = Path(tmp) / Path(name).stem
-            code = cli(["run", str(SCENARIOS / name), "--out", str(out), "--quiet"])
+        runs = [("configs", name, SCENARIOS / name) for name in QUICK]
+        runs += [("slow", name, SCENARIOS / name) for name in SLOW]
+        for workload, seed in PERFBENCH:
+            for op in setup(workload, seed, ROOT, Path(tmp) / f"{workload}-{seed}"):
+                runs.append(("slow", f"{workload} seed {seed} {op.config.name}", op.config))
+        for i, (section, name, config) in enumerate(runs):
+            out = Path(tmp) / f"out{i}"
+            code = cli(["run", str(config), "--out", str(out), "--quiet"])
             if code != 0:
                 print(f"{name}: exit {code}", file=sys.stderr)
                 return 1
-            configs[name] = fingerprint(out)
-    GOLDEN.write_text(json.dumps({"build": build(), "configs": configs}, indent=1,
+            sections[section][name] = fingerprint(out)
+    GOLDEN.write_text(json.dumps({"build": build(), **sections}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
     return 0

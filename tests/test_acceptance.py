@@ -247,7 +247,7 @@ def test_09_kitten_fidelity_interior_maximum():
     assert lo < g_star < hi
     assert 0.0 < f_star <= 1.0
 
-    dim = coherent_dim(alpha) + 5
+    dim = coherent_dim(alpha)
 
     def fid(g):
         state = cavity_projected_plus(cycles, ModelParams(g=g, lam=lam, alpha=alpha), dim)

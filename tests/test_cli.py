@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triqom import ModelParams, cavity_unconditional
+from triqom import ModelParams, cavity_unconditional, displaced_fock
 from triqom.cli import _KEYS, _closed_spaces, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
@@ -290,9 +290,10 @@ class TestRunScenarios:
         lost = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0),
                                     dim=32).discarded_weight
         assert lost > 1e-9
-        # the same coherent tail at every g, up to rounding of 1 - |psi|^2
+        # the same exact coherent tail at every g, and the target's own tail
         assert manifest["tail_weights"] == {
-            "max_discarded_weight": pytest.approx(lost, rel=1e-6)}
+            "max_discarded_weight": lost,
+            "target_discarded_weight": displaced_fock(3.0, 1, 32).discarded_weight}
 
     def test_intrinsic_offset_flag_only_for_thermal(self, tmp_path):
         flag = "intrinsic_qc_offset_by_mech_entropy"
@@ -378,13 +379,13 @@ class TestExitCodes:
             assert not (out / "sweep.csv").exists()
 
     def test_oversized_default_mechanics_is_exit_two(self, tmp_path, capsys):
-        # the default cutoff for this reach is 1382 levels, past the 600 ceiling
+        # the default cutoff for this reach is 1465 levels, past the 600 ceiling
         text = ("scenario = coherent-entanglement\ng = 0.4\nlambda = 0.25\n"
                 "alpha = 3\n")
         code, out = _run(tmp_path, text)
         assert code == 2
         err = capsys.readouterr().err
-        assert "1382" in err and "600" in err and "n_mech" in err
+        assert "1465" in err and "600" in err and "n_mech" in err
         assert not (out / "entanglement.csv").exists()
         # an explicit n_mech bypasses the default rule
         cfg = parse_config(text + "n_mech = 700\n")

@@ -40,6 +40,31 @@ from conftest import (
 INV_PI = 1.0 / math.pi
 
 
+def yurke_stoler_wigner(params, l, p, points):
+    """Truncation-free Wigner function of `cavity_unconditional` at g sqrt(2 l p) = 1.
+
+    Up to a global phase, the spin-sigma branch is e^{i pi n^2 / p} applied to
+    |alpha e^{i phi}>, phi = 4 pi l g lam sigma.  The phase has period q = 2p
+    in n, so with its DFT b_k the branch is sum_k b_k |alpha e^{i(phi + 2 pi k/q)}>
+    (Yurke & Stoler, PRL 57 (1986) 13).  In this package's convention |b><c|
+    has the Wigner function (1/pi) <c|b> exp(-2 (z - b)(z* - c*)).
+    """
+    q = 2 * p
+    n = np.arange(q)
+    b = np.fft.fft(np.exp(1j * math.pi * n * n / p)) / q
+    z = np.asarray(points, dtype=complex)[..., None, None]
+    total = np.zeros(np.shape(points))
+    for sigma in (+1, -1):
+        phi = 4.0 * math.pi * l * params.g * params.lam * sigma
+        amps = params.alpha * np.exp(1j * (phi + 2.0 * math.pi * n / q))
+        bk, ck = amps[:, None], amps[None, :]
+        overlap = np.exp(-0.5 * abs(bk) ** 2 - 0.5 * abs(ck) ** 2 + ck.conj() * bk)
+        terms = b[:, None] * b.conj()[None, :] * overlap * np.exp(
+            -2.0 * (z - bk) * (z.conj() - ck.conj()))
+        total += 0.5 * terms.sum(axis=(-2, -1)).real / math.pi
+    return total
+
+
 class TestWigner:
     def test_vacuum_peak(self):
         w = wigner_at(fock_state(0, 8), np.array([0.0 + 0.0j]))
@@ -147,6 +172,17 @@ class TestUnconditionalCavity:
         ax = default_axis(3.0)
         assert wigner(rho, ax, ax).values.min() < -1e-3
         assert radial_lobe_count(rho, r_max=abs(3.0) * math.sqrt(2.0) + 4.0) == 2
+
+    @pytest.mark.parametrize("g, lam, p", [(0.5, 0.5, 2), (0.31622776601683794, 0.8, 5)])
+    def test_shipped_cats_match_the_truncation_free_oracle(self, g, lam, p):
+        # cat_two_lobe.cfg and cat_five_lobe.cfg, at the default cutoff
+        params = ModelParams(g=g, lam=lam, alpha=3.0)
+        assert cat_condition(g, 1, p)[0]
+        rho = cavity_unconditional(1, params)
+        ax = default_axis(3.0, 81)
+        pts = (ax[:, None] + 1j * ax[None, :]) / math.sqrt(2.0)
+        gap = np.abs(wigner(rho, ax, ax).values - yurke_stoler_wigner(params, 1, p, pts))
+        assert gap.max() <= 2.0 * math.sqrt(rho.discarded_weight) / math.pi
 
     def test_rejects_bad_cycle(self):
         with pytest.raises(ValueError):
@@ -264,7 +300,7 @@ class TestDisplacedFockFidelity:
 
     def test_kitten_objective_has_interior_maximum(self):
         g_star, f_max = optimize_g_for_kitten(3.0, 1.0, 10, (0.002, 0.03))
-        dim = coherent_dim(3.0) + 5
+        dim = coherent_dim(3.0)
 
         def f(g):
             p = ModelParams(g=g, lam=1.0, alpha=3.0)

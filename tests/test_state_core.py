@@ -22,11 +22,13 @@ from triqom import (
     mechanics_dim,
     negativity_sweep,
     partial_trace,
+    qubit_cavity_at_cycle,
     qubit_state,
     tensor,
     thermal_density,
+    thermal_dim,
 )
-from triqom.core import SUBSYSTEMS, destroy, embed
+from triqom.core import SUBSYSTEMS, _cutoff, destroy, embed
 
 from conftest import (
     TWO_PI,
@@ -103,6 +105,71 @@ def test_coherent_dim_rule_gives_tiny_tail():
     for alpha in (0.5, 1.0, 2.0, 3.0):
         st = coherent_state(alpha, coherent_dim(alpha), tail_tol=1e-10)
         assert st.discarded_weight < 1e-10
+
+
+# the truncation rule: each default cutoff is the smallest n whose exact
+# discarded weight is <= 1e-14
+TAIL_EPS = 1e-14
+
+
+def poisson_tail_oracle(n, alpha):
+    """P(N >= n) for N ~ Poisson(|alpha|^2): an fsum of log-space terms."""
+    x = abs(alpha) ** 2
+    if x == 0:
+        return 1.0 if n <= 0 else 0.0
+    ks = range(n, n + int(40.0 * math.sqrt(x)) + 200)
+    return math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1)) for k in ks)
+
+
+def geometric_tail_oracle(n, nbar):
+    """Thermal weight beyond n levels: an fsum of log-space terms (1-r) r^k."""
+    if nbar == 0:
+        return 1.0 if n <= 0 else 0.0
+    log_r = math.log(nbar) - math.log1p(nbar)
+    ks = range(n, n + int(40.0 / -log_r) + 1)
+    return math.fsum(math.exp(k * log_r - math.log1p(nbar)) for k in ks)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0, 3.7, 5.0, 10.0])
+def test_coherent_dim_is_the_smallest_cutoff_within_the_tail(alpha):
+    n = coherent_dim(alpha)
+    assert poisson_tail_oracle(n, alpha) <= TAIL_EPS < poisson_tail_oracle(n - 1, alpha)
+    kept = coherent_state(alpha, n).discarded_weight
+    assert kept == pytest.approx(poisson_tail_oracle(n, alpha), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 10.0])
+def test_thermal_dim_is_the_smallest_cutoff_within_the_tail(nbar):
+    n = thermal_dim(nbar)
+    assert geometric_tail_oracle(n, nbar) <= TAIL_EPS < geometric_tail_oracle(n - 1, nbar)
+    kept = thermal_density(nbar, n).discarded_weight
+    assert kept == pytest.approx(geometric_tail_oracle(n, nbar), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, n_cav", [(3.0, None), (3.0, 32), (2.0, None), (1.0, 9)])
+def test_full_period_state_reports_the_exact_poisson_tail(alpha, n_cav):
+    st = qubit_cavity_at_cycle(10, ModelParams(g=0.0125, lam=1.0, alpha=alpha), n_cav)
+    exact = poisson_tail_oracle(st.space.dims[1], alpha)
+    assert st.discarded_weight == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+_NAN = float("nan")
+_NON_FINITE = {
+    "coherent_state": lambda: coherent_state(_NAN, 10),
+    "displaced_fock": lambda: displaced_fock(_NAN, 1, 10),
+    "thermal_density": lambda: thermal_density(_NAN, 10),
+    "ModelParams.alpha": lambda: ModelParams(g=0.1, lam=0.2, alpha=_NAN),
+    "ModelParams.beta": lambda: ModelParams(g=0.1, lam=0.2, beta=math.inf),
+    "_cutoff": lambda: _cutoff(lambda n: _NAN),
+    "coherent_dim": lambda: coherent_dim(_NAN),
+    "thermal_dim": lambda: thermal_dim(_NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE))
+def test_non_finite_inputs_fail_closed(name):
+    with pytest.raises(ValueError, match="finite|no cutoff"):
+        _NON_FINITE[name]()
 
 
 def test_thermal_density_zero_temperature():
@@ -305,9 +372,9 @@ def test_mechanics_dim_covers_displacement():
 
 
 def test_mechanics_dim_fails_closed_above_ceiling():
-    # reach 2 + 2 (0.4 * 39 + 0.25) = 33.7 needs 1382 levels, past the 600 ceiling
+    # reach 2 + 2 (0.4 * 40 + 0.25) = 34.5 needs 1465 levels, past the 600 ceiling
     p = ModelParams(g=0.4, lam=0.25, alpha=3.0)
-    with pytest.raises(ValueError, match=r"1382 .*600.*n_mech"):
+    with pytest.raises(ValueError, match=r"1465 .*600.*n_mech"):
         mechanics_dim(p, n_cav=coherent_dim(3.0))
 
 
