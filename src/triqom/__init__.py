@@ -20,6 +20,7 @@ from .core import (
     coherent_state,
     displaced_fock,
     fock_state,
+    kitten_dim,
     mechanics_dim,
     partial_trace,
     qubit_state,
@@ -80,7 +81,7 @@ from .nonclassical import (
 __all__ = [
     "__version__",
     "Space", "CompositeSpace", "ModelParams", "PureState", "DensityMatrix",
-    "coherent_dim", "thermal_dim", "mechanics_dim",
+    "coherent_dim", "kitten_dim", "thermal_dim", "mechanics_dim",
     "fock_state", "qubit_state", "coherent_state", "thermal_density",
     "displaced_fock", "tensor", "partial_trace",
     "Trajectory", "branch_shifts", "hamiltonian", "evolve_unitary",

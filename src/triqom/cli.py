@@ -13,7 +13,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     coherent_dim,
     coherent_state,
     displaced_fock,
+    kitten_dim,
     mechanics_dim,
     qubit_state,
     tensor,
@@ -55,8 +56,8 @@ log = logging.getLogger(__name__)
 class ScenarioConfig:
     """Validated scenario description with defaults filled in.
 
-    `echo` preserves every resolved key for the manifest; `seed` is parsed and
-    echoed but unused (all computations are deterministic).
+    `echo` preserves every resolved key for the manifest; `p`, `dt` and `seed`
+    are parsed and echoed only (all computations are deterministic).
     """
 
     scenario: str
@@ -67,12 +68,9 @@ class ScenarioConfig:
     t_end: float
     samples: int
     l: int
-    p: int
     out_dir: str | None
     n_cav: int | None
     n_mech: int | None
-    dt: float
-    seed: int
     grid_points: int
     g_min: float
     g_max: float
@@ -204,50 +202,29 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ValueError(f"key '{key}': {rest}") from None
 
     echo = {key: list(v) if isinstance(v, tuple) else v for key, v in vals.items()}
-    return ScenarioConfig(
-        scenario=scenario, params=params, Gammas=vals["Gamma"],
-        gamma_phis=vals["Gamma_phi"], t_start=vals["t_start"], t_end=vals["t_end"],
-        samples=vals["samples"], l=vals["l"], p=vals["p"], out_dir=vals["out_dir"],
-        n_cav=vals["n_cav"], n_mech=vals["n_mech"], dt=vals["dt"], seed=vals["seed"],
-        grid_points=vals["grid_points"], g_min=vals["g_min"], g_max=vals["g_max"],
-        g_samples=vals["g_samples"], echo=echo)
+    # every other field is named after its config key
+    named = {f.name: vals[f.name] for f in fields(ScenarioConfig) if f.name in vals}
+    return ScenarioConfig(params=params, Gammas=vals["Gamma"],
+                          gamma_phis=vals["Gamma_phi"], echo=echo, **named)
 
 
 # ---------------------------------------------------------------------------
-# output writers; 17 significant digits so reruns diff byte-identically
+# output files: 17 significant digits so reruns diff byte-identically
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _require_finite(rows) -> None:
+def _write(out_dir: Path, manifest: dict, name: str, rows, header: str,
+           delimiter: str = ",") -> None:
+    """Write one data file of finite values and list it in the manifest."""
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise IntegrationError("non-finite value in output data")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    _require_finite(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_wigner(path: Path, grid) -> None:
-    _require_finite(grid.values)
-    x, y = grid.x_axis, grid.y_axis
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# x: {_fmt(x[0])} {_fmt(x[-1])} {x.size}\n")
-        f.write(f"# y: {_fmt(y[0])} {_fmt(y[-1])} {y.size}\n")
-        for row in grid.values:
-            f.write(" ".join(_fmt(v) for v in row) + "\n")
+    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
+        np.savetxt(f, arr, fmt="%.17g", delimiter=delimiter, header=header, comments="")
+    manifest["outputs"].append(name)
 
 
 def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load a Wigner grid file back into (x_axis, y_axis, values)."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 3 or not lines[0].startswith("# x:") or not lines[1].startswith("# y:"):
         raise ValueError(f"{path}: not a Wigner grid file")
 
@@ -256,7 +233,7 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linspace(float(lo), float(hi), int(count))
 
     x, y = axis(lines[0]), axis(lines[1])
-    values = np.array([[float(v) for v in line.split()] for line in lines[2:]])
+    values = np.loadtxt(lines[2:], ndmin=2)
     if values.shape != (x.size, y.size):
         raise ValueError(f"{path}: value block shape {values.shape} does not "
                          f"match axes ({x.size}, {y.size})")
@@ -290,9 +267,8 @@ def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path,
         max_discard = max(max_discard, state.discarded_weight)
         if i % stride == 0 or i == cfg.samples - 1:
             log.info("  t = %9.5f   neg_qc = %.6f", t, rec.neg_qc)
-    _write_csv(out_dir / "entanglement.csv",
-               "t,neg_qc,neg_qo,neg_oc,intrinsic_qc", rows)
-    manifest["outputs"].append("entanglement.csv")
+    _write(out_dir, manifest, "entanglement.csv", rows,
+           "t,neg_qc,neg_qo,neg_oc,intrinsic_qc")
     manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
     manifest["tail_weights"] = {"max_discarded_weight": max_discard}
     manifest["results"] = {"neg_qc_final": rows[-1][1],
@@ -318,8 +294,7 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
 
     rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
                             t_cycle=t_cycle, progress=report)
-    _write_csv(out_dir / "sweep.csv", "Gamma,gamma_phi,neg_qc_2pi", rows)
-    manifest["outputs"].append("sweep.csv")
+    _write(out_dir, manifest, "sweep.csv", rows, "Gamma,gamma_phi,neg_qc_2pi")
     manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
     manifest["tail_weights"] = {"rho0_discarded_weight": rho0.discarded_weight}
     manifest["results"] = {"neg_qc_2pi_max": max(r[2] for r in rows),
@@ -332,18 +307,18 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     r_max = axis[-1]  # lobes are counted out to the grid's half-width
     unc = cavity_unconditional(cfg.l, params, cfg.n_cav)
     grid_unc = wigner(unc, axis, axis)
+    span = f"{axis[0]:.17g} {axis[-1]:.17g} {axis.size}"
+    header = f"# x: {span}\n# y: {span}"
     results = {}
     if cfg.scenario == "cat-unconditional":
-        _write_wigner(out_dir / "wigner.dat", grid_unc)
-        manifest["outputs"].append("wigner.dat")
+        _write(out_dir, manifest, "wigner.dat", grid_unc.values, header, " ")
         results["min_wigner"] = float(grid_unc.values.min())
         results["lobe_count"] = radial_lobe_count(unc, r_max)
     else:
         proj = projected_qubit_state(cfg.l, params, +1, cfg.n_cav)
         grid_proj = wigner(proj, axis, axis)
-        _write_wigner(out_dir / "wigner.dat", grid_proj)
-        _write_wigner(out_dir / "wigner_unconditional.dat", grid_unc)
-        manifest["outputs"] += ["wigner.dat", "wigner_unconditional.dat"]
+        _write(out_dir, manifest, "wigner.dat", grid_proj.values, header, " ")
+        _write(out_dir, manifest, "wigner_unconditional.dat", grid_unc.values, header, " ")
         results["min_wigner"] = float(grid_proj.values.min())
         results["min_wigner_unconditional"] = float(grid_unc.values.min())
         results["projection_probability_plus"] = projection_probability(
@@ -361,16 +336,16 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
 def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
+    # the target's tail, not the state's, bounds the fidelity error
+    dim = cfg.n_cav or kitten_dim(params.alpha)
     rows = []
     for g in gs:
-        state = projected_qubit_state(cfg.l, params.with_rates(g=float(g)), +1, cfg.n_cav)
+        state = projected_qubit_state(cfg.l, params.with_rates(g=float(g)), +1, dim)
         rows.append((float(g), fidelity_displaced_fock(state, params.alpha, 1)))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
-    _write_csv(out_dir / "fidelity.csv", "g,fidelity", rows)
-    dim = state.space.dims[0]
-    target = displaced_fock(params.alpha, 1, dim)  # its tail bounds the fidelity error
-    manifest["outputs"].append("fidelity.csv")
+    _write(out_dir, manifest, "fidelity.csv", rows, "g,fidelity")
+    target = displaced_fock(params.alpha, 1, dim)
     manifest["truncations"] = {"n_cav": dim}
     # every g keeps the same exact coherent tail
     manifest["tail_weights"] = {"max_discarded_weight": state.discarded_weight,

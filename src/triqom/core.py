@@ -37,6 +37,7 @@ __all__ = [
     "sigma_minus",
     "embed",
     "coherent_dim",
+    "kitten_dim",
     "thermal_dim",
     "mechanics_dim",
 ]
@@ -205,6 +206,9 @@ class PureState:
         return complex(np.vdot(other.amplitudes, self.amplitudes))
 
 
+_HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-10, 1e-8, -1e-8  # DensityMatrix.validate
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace Hermitian operator on a Space; immutable after construction."""
@@ -234,16 +238,15 @@ class DensityMatrix:
     def expect(self, op: np.ndarray) -> complex:
         return complex(np.trace(op @ self.matrix))
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                 psd_tol: float = -1e-8) -> None:
+    def validate(self) -> None:
         m = self.matrix
-        if np.abs(m - m.conj().T).max() > herm_tol:
+        if np.abs(m - m.conj().T).max() > _HERM_TOL:
             raise ValueError("density matrix not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > trace_tol:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond {trace_tol}")
+        if abs(np.trace(m) - 1.0) > _TRACE_TOL:
+            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond {_TRACE_TOL}")
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w.min() < psd_tol:
-            raise ValueError(f"negative eigenvalue {w.min()} below {psd_tol}")
+        if w.min() < _PSD_TOL:
+            raise ValueError(f"negative eigenvalue {w.min()} below {_PSD_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,14 @@ def _geometric_tail(n, nbar: float):
     return (nbar / (nbar + 1.0)) ** n
 
 
+def _displaced_one_tail(n, alpha: complex):
+    """Weight of D(alpha)|1> beyond n levels, a Q(n-2) + (1-2a) Q(n-1) + a Q(n):
+    level m holds p_m (m - a)^2 / a, with a = |alpha|^2 and Q the Poisson tail."""
+    a = abs(alpha) ** 2
+    q = [_poisson_tail(k, alpha) if k >= 1 else 1.0 for k in (n - 2, n - 1, n)]
+    return a * q[0] + (1.0 - 2.0 * a) * q[1] + a * q[2]
+
+
 def _cutoff(tail) -> int:
     """Smallest n >= 1 with tail(n) <= _TAIL_EPS, for a nonincreasing tail(n)."""
     hi = 1
@@ -279,6 +290,11 @@ def _cutoff(tail) -> int:
 def coherent_dim(alpha: complex) -> int:
     """Smallest Fock cutoff whose coherent-state tail is <= 1e-14."""
     return _cutoff(lambda n: _poisson_tail(n, alpha))
+
+
+def kitten_dim(alpha: complex) -> int:
+    """Smallest Fock cutoff whose D(alpha)|1> tail (the kitten target's) is <= 1e-14."""
+    return _cutoff(lambda n: _displaced_one_tail(n, alpha))
 
 
 def thermal_dim(nbar: float) -> int:

@@ -23,6 +23,7 @@ from .core import (
     PureState,
     Space,
     displaced_fock,
+    kitten_dim,
     partial_trace,
 )
 from .dynamics import qubit_cavity_at_cycle
@@ -264,21 +265,25 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+_KITTEN_G_TOL = 1e-6  # width of the final golden-section bracket in g
+
+
 def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
-                          g_range: tuple[float, float], coarse: int = 257,
-                          tol: float = 1e-6) -> tuple[float, float]:
+                          g_range: tuple[float, float],
+                          coarse: int = 257) -> tuple[float, float]:
     """Coupling in `g_range` maximizing fidelity with D(alpha)|1> after projection.
 
-    Coarse scan then golden-section refinement inside the best bracket.
+    Coarse scan, then golden-section refinement in the best bracket, at `kitten_dim`.
     Raises if the objective is flat over the range.
     """
     lo, hi = g_range
     if not (0 < lo < hi):
         raise ValueError("need 0 < g_lo < g_hi")
+    dim = kitten_dim(alpha)
 
     def f(g: float) -> float:
         p = ModelParams(g=g, lam=lam, alpha=alpha)
-        return fidelity_displaced_fock(projected_qubit_state(l, p, +1), alpha, 1)
+        return fidelity_displaced_fock(projected_qubit_state(l, p, +1, dim), alpha, 1)
 
     gs = np.linspace(lo, hi, coarse)
     vals = np.array([f(g) for g in gs])
@@ -287,25 +292,26 @@ def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
     k = int(vals.argmax())
     bl = gs[max(0, k - 1)]
     bh = gs[min(coarse - 1, k + 1)]
-    g_star = _golden_max(f, bl, bh, tol)
+    g_star = _golden_max(f, bl, bh, _KITTEN_G_TOL)
     return float(g_star), float(f(g_star))
 
 
 # ---------------------------------------------------------------------------
 # lobe counting
 
-def radial_lobe_count(state: PureState | DensityMatrix, r_max: float,
-                      n_r: int = 160, n_theta: int = 360,
-                      rel_threshold: float = 0.1) -> int:
+_LOBE_RADII, _LOBE_ANGLES, _LOBE_REL_THRESHOLD = 160, 360, 0.1
+
+
+def radial_lobe_count(state: PureState | DensityMatrix, r_max: float) -> int:
     """Count phase-space lobes: angular peaks of the radially integrated Wigner
-    weight above `rel_threshold` of the strongest peak.
+    weight above 10% of the strongest peak, on a 160 x 360 polar grid.
 
     The signed integral is used on purpose: interference fringes between lobes
     alternate in sign along a ray and cancel, while each lobe keeps its full
     probability mass.
     """
-    r = np.linspace(0.0, r_max, n_r)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    r = np.linspace(0.0, r_max, _LOBE_RADII)
+    theta = np.linspace(0.0, 2.0 * math.pi, _LOBE_ANGLES, endpoint=False)
     pts = (r[:, None] * np.exp(1j * theta)[None, :]) / math.sqrt(2.0)
     w = wigner_at(state, pts)
     mass = np.trapezoid(w * r[:, None], r, axis=0)
@@ -317,5 +323,5 @@ def radial_lobe_count(state: PureState | DensityMatrix, r_max: float,
         return 1
     up = mass > np.roll(mass, 1)
     down = mass >= np.roll(mass, -1)  # plateaus count once, at their left edge
-    is_max = up & down & (mass >= rel_threshold * peak)
+    is_max = up & down & (mass >= _LOBE_REL_THRESHOLD * peak)
     return int(np.count_nonzero(is_max))

@@ -22,7 +22,8 @@ build only.
 `configs` section.  No test reads the `slow` one: rerun the script and
 `git diff` the file.  A change that moves these numbers on purpose
 regenerates the file with this script and states which files moved, by how
-much and why.
+much and why.  Before it overwrites the file, the script prints the `deltas`
+of every entry whose digests moved.
 """
 import hashlib
 import json
@@ -130,6 +131,18 @@ def deltas(want: dict, got: dict, rtol: float = 0.0) -> list[str]:
     return lines
 
 
+def report_moved(old: dict, sections: dict) -> None:
+    """Print `deltas(old, new)` for each entry whose file digests moved."""
+    for section, entries in sections.items():
+        for name, got in entries.items():
+            want = old.get(section, {}).get(name, {})
+            if ({f: v["sha256"] for f, v in want.items()}
+                    != {f: v["sha256"] for f, v in got.items()}):
+                print(f"{section} / {name}: digests moved")
+                for line in deltas(want, got):
+                    print(f"  {line}")
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.workloads import setup
@@ -149,6 +162,8 @@ def main() -> int:
                 print(f"{name}: exit {code}", file=sys.stderr)
                 return 1
             sections[section][name] = fingerprint(out)
+    report_moved(json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {},
+                 sections)
     GOLDEN.write_text(json.dumps({"build": build(), **sections}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from triqom import ModelParams, cavity_unconditional, displaced_fock
-from triqom.cli import _KEYS, _closed_spaces, main, parse_config, read_wigner
+from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,6 +154,39 @@ class TestReadWigner:
             read_wigner(path)
 
 
+class TestWrite:
+    # signed zeros, two subnormals, an integral 1e16 and two inexact decimals
+    EDGE = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1 / 3, -1e-5]
+
+    @staticmethod
+    def _joined(rows, delimiter):
+        return "".join(delimiter.join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+    def test_csv_matches_the_per_value_format(self, tmp_path):
+        rows = [self.EDGE, self.EDGE[::-1]]
+        manifest = {"outputs": []}
+        _write(tmp_path, manifest, "edge.csv", rows, "a,b,c,d,e,f,g")
+        want = "a,b,c,d,e,f,g\n" + self._joined(rows, ",")
+        assert (tmp_path / "edge.csv").read_bytes() == want.encode("utf-8")
+        assert manifest["outputs"] == ["edge.csv"]
+
+    @pytest.mark.parametrize("n_rows", [2, 1])
+    def test_grid_round_trips_bit_exact(self, tmp_path, n_rows):
+        values = np.array([self.EDGE, self.EDGE[::-1]][:n_rows])
+        x = np.linspace(-4.0, 4.0, n_rows)
+        y = np.linspace(-1 / 3, 1 / 3, len(self.EDGE))
+        header = (f"# x: {x[0]:.17g} {x[-1]:.17g} {x.size}\n"
+                  f"# y: {y[0]:.17g} {y[-1]:.17g} {y.size}")
+        manifest = {"outputs": []}
+        _write(tmp_path, manifest, "w.dat", values, header, " ")
+        want = header + "\n" + self._joined(values, " ")
+        assert (tmp_path / "w.dat").read_bytes() == want.encode("utf-8")
+        gx, gy, got = read_wigner(tmp_path / "w.dat")
+        assert got.shape == values.shape
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))
+        assert np.array_equal(gx, x) and np.array_equal(gy, y)
+
+
 # every key the config format accepts
 ACCEPTED_KEYS = (
     "scenario", "g", "lambda", "alpha", "beta", "nbar", "kappa", "gamma_m",
@@ -294,6 +327,16 @@ class TestRunScenarios:
         assert manifest["tail_weights"] == {
             "max_discarded_weight": lost,
             "target_discarded_weight": displaced_fock(3.0, 1, 32).discarded_weight}
+
+    def test_kitten_fidelity_at_zero_amplitude(self, tmp_path):
+        # the D(0)|1> = |1> target needs two levels where the vacuum needs one
+        text = ("scenario = kitten-fidelity\nlambda = 1\nalpha = 0\nl = 10\n"
+                "g_samples = 3\n")
+        code, out = _run(tmp_path, text)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["truncations"]["n_cav"] == 2
+        assert manifest["results"]["fidelity_best"] == 0.0
 
     def test_intrinsic_offset_flag_only_for_thermal(self, tmp_path):
         flag = "intrinsic_qc_offset_by_mech_entropy"

@@ -13,12 +13,12 @@ from triqom import (
     cat_condition,
     cavity_projected_plus,
     cavity_unconditional,
-    coherent_dim,
     coherent_state,
     evolve_coherent,
     fidelity_displaced_fock,
     fock_state,
     kitten_coupling,
+    kitten_dim,
     optimize_g_for_kitten,
     projected_qubit_state,
     projection_probability,
@@ -300,7 +300,7 @@ class TestDisplacedFockFidelity:
 
     def test_kitten_objective_has_interior_maximum(self):
         g_star, f_max = optimize_g_for_kitten(3.0, 1.0, 10, (0.002, 0.03))
-        dim = coherent_dim(3.0)
+        dim = kitten_dim(3.0)
 
         def f(g):
             p = ModelParams(g=g, lam=1.0, alpha=3.0)
@@ -318,7 +318,8 @@ class TestDisplacedFockFidelity:
         assert abs(a - b) < 1e-4
 
     def test_flat_objective_rejected(self):
-        with pytest.raises(ValueError):
+        # alpha = 0 projects onto the vacuum, orthogonal to D(0)|1> = |1> at every g
+        with pytest.raises(ValueError, match="objective is flat"):
             optimize_g_for_kitten(0.0, 1.0, 10, (0.002, 0.03))
 
 

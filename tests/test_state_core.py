@@ -18,6 +18,7 @@ from triqom import (
     fock_state,
     integrate,
     intrinsic_qc_numeric,
+    kitten_dim,
     lindblad_rhs,
     mechanics_dim,
     negativity_sweep,
@@ -28,7 +29,7 @@ from triqom import (
     thermal_density,
     thermal_dim,
 )
-from triqom.core import SUBSYSTEMS, _cutoff, destroy, embed
+from triqom.core import SUBSYSTEMS, _cutoff, _displaced_one_tail, destroy, embed
 
 from conftest import (
     TWO_PI,
@@ -146,6 +147,25 @@ def test_thermal_dim_is_the_smallest_cutoff_within_the_tail(nbar):
     assert kept == pytest.approx(geometric_tail_oracle(n, nbar), rel=1e-12, abs=0.0)
 
 
+def displaced_one_tail_oracle(n, alpha):
+    """Weight of D(alpha)|1> beyond n levels: an fsum of p_k (k - x)^2 / x."""
+    x = abs(alpha) ** 2
+    if x == 0:
+        return 1.0 if n <= 1 else 0.0
+    ks = range(max(n, 0), n + int(40.0 * math.sqrt(x)) + 200)
+    return math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1)) * (k - x) ** 2 / x
+                     for k in ks)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_kitten_dim_is_the_smallest_cutoff_within_the_target_tail(alpha):
+    n = kitten_dim(alpha)
+    assert displaced_one_tail_oracle(n, alpha) <= TAIL_EPS < displaced_one_tail_oracle(n - 1, alpha)
+    for m in range(n - 3, n + 4):
+        assert _displaced_one_tail(m, alpha) == pytest.approx(
+            displaced_one_tail_oracle(m, alpha), rel=1e-11, abs=1e-300)
+
+
 @pytest.mark.parametrize("alpha, n_cav", [(3.0, None), (3.0, 32), (2.0, None), (1.0, 9)])
 def test_full_period_state_reports_the_exact_poisson_tail(alpha, n_cav):
     st = qubit_cavity_at_cycle(10, ModelParams(g=0.0125, lam=1.0, alpha=alpha), n_cav)
@@ -162,6 +182,7 @@ _NON_FINITE = {
     "ModelParams.beta": lambda: ModelParams(g=0.1, lam=0.2, beta=math.inf),
     "_cutoff": lambda: _cutoff(lambda n: _NAN),
     "coherent_dim": lambda: coherent_dim(_NAN),
+    "kitten_dim": lambda: kitten_dim(_NAN),
     "thermal_dim": lambda: thermal_dim(_NAN),
 }
 
