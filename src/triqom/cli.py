@@ -30,12 +30,8 @@ from .core import (
     qubit_state,
     tensor,
 )
-from .dynamics import (
-    evolve_coherent,
-    evolve_fock_superposition,
-    evolve_thermal,
-)
-from .entanglement import entanglement_record
+from .dynamics import _branch_state, _coherent_weights, _fock_weights, evolve_thermal
+from .entanglement import _chunks, _records, _sample_bytes
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     cavity_unconditional,
@@ -253,26 +249,42 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     return CompositeSpace(n_cav, cfg.n_mech or mechanics_dim(cfg.params, n_cav))
 
 
-def _run_entanglement(evolver, cfg: ScenarioConfig, out_dir: Path,
+def _pure_series(weights):
+    """Chunks (times, stacked amplitudes, discarded weights) of a pure family's
+    series, from its initial (2, n_cav) branch weights."""
+    def chunks(cfg: ScenarioConfig, cspace: CompositeSpace, ts: np.ndarray):
+        w = weights(cfg.params, cspace)
+        for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech)):
+            yield ts[c], *_branch_state(w, ts[c], cfg.params, cspace)
+    return chunks
+
+
+def _thermal_series(cfg: ScenarioConfig, cspace: CompositeSpace, ts: np.ndarray):
+    """One chunk per time: each sample is an (n_cav n_mech)^2 density matrix."""
+    for i, t in enumerate(ts):
+        rho = evolve_thermal(float(t), cfg.params, cspace)
+        yield ts[i:i + 1], rho, [rho.discarded_weight]
+
+
+def _run_entanglement(series, cfg: ScenarioConfig, out_dir: Path,
                       manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
     ts = _time_grid(cfg)
-    stride = max(1, cfg.samples // 8)
-    rows = []
+    blocks = []
     max_discard = 0.0
-    for i, t in enumerate(ts):
-        state = evolver(float(t), cfg.params, cspace)
-        rec = entanglement_record(state, float(t))
-        rows.append((rec.time, rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc))
-        max_discard = max(max_discard, state.discarded_weight)
-        if i % stride == 0 or i == cfg.samples - 1:
-            log.info("  t = %9.5f   neg_qc = %.6f", t, rec.neg_qc)
+    for times, states, discarded in series(cfg, cspace, ts):
+        blocks.append(np.column_stack([times, _records(states, cspace.n_cav)]))
+        max_discard = max(max_discard, *discarded)
+    rows = np.concatenate(blocks)
+    stride = max(1, cfg.samples // 8)
+    for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
+        log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)
     _write(out_dir, manifest, "entanglement.csv", rows,
            "t,neg_qc,neg_qo,neg_oc,intrinsic_qc")
     manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
     manifest["tail_weights"] = {"max_discarded_weight": max_discard}
-    manifest["results"] = {"neg_qc_final": rows[-1][1],
-                           "intrinsic_qc_final": rows[-1][4]}
+    manifest["results"] = {"neg_qc_final": float(rows[-1, 1]),
+                           "intrinsic_qc_final": float(rows[-1, 4])}
     if cfg.scenario == "thermal-entanglement":
         # S_q + S_c - S_o is a pure-state measure; with thermal mechanics it
         # is offset by the mechanics' own linear entropy (-0.5 at t = 0, nbar = 0.5)
@@ -353,12 +365,12 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 
-# the evolvers are looked up when a scenario runs, not when this table is
+# evolve_thermal is looked up when a scenario runs, not when this table is
 # built, so a module attribute patched later (a tracer, a mock) is the one called
 _RUNNERS = {
-    "fock-entanglement": lambda *a: _run_entanglement(evolve_fock_superposition, *a),
-    "coherent-entanglement": lambda *a: _run_entanglement(evolve_coherent, *a),
-    "thermal-entanglement": lambda *a: _run_entanglement(evolve_thermal, *a),
+    "fock-entanglement": lambda *a: _run_entanglement(_pure_series(_fock_weights), *a),
+    "coherent-entanglement": lambda *a: _run_entanglement(_pure_series(_coherent_weights), *a),
+    "thermal-entanglement": lambda *a: _run_entanglement(_thermal_series, *a),
     "open-sweep": _run_open_sweep,
     "cat-unconditional": _run_cat,
     "cat-conditional": _run_cat,

@@ -397,20 +397,24 @@ def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
                    tail_tol: float = 1e-6) -> PureState:
     """Displaced Fock state D(alpha)|n> = (a' - conj(alpha))^n / sqrt(n!) |alpha>.
 
-    n steps of that ladder recurrence, started from `coherent_amplitudes`.  The
-    raising operator only moves weight upward, so every kept level is exact and
-    the lost weight is the tail beyond `dim`.
+    n steps of that ladder recurrence, started from `coherent_amplitudes` on
+    `dim + coherent_dim(|alpha|)` levels.  The raising operator only moves
+    weight upward, so every kept level is exact, and the discarded weight is
+    the `math.fsum` of the levels above `dim` (1 - captured would be rounding
+    noise near 1e-14).
     """
     space = _single(label, dim)
     if not 0 <= n < dim:
         raise ValueError(f"Fock index {n} outside [0, {dim})")
-    coeffs = coherent_amplitudes(alpha, dim)
-    sq = np.sqrt(np.arange(1, dim))
+    ladder = dim + coherent_dim(abs(alpha))
+    coeffs = coherent_amplitudes(alpha, ladder)
+    sq = np.sqrt(np.arange(1, ladder))
     for k in range(1, n + 1):
         raised = np.concatenate(([0.0], sq * coeffs[:-1]))
         coeffs = (raised - np.conj(alpha) * coeffs) / math.sqrt(k)
+    tail = _checked("displaced-Fock", math.fsum(abs(coeffs[dim:]) ** 2), dim, tail_tol)
+    coeffs = coeffs[:dim]
     captured = float(np.vdot(coeffs, coeffs).real)
-    tail = _checked("displaced-Fock", max(0.0, 1.0 - captured), dim, tail_tol)
     coeffs /= math.sqrt(captured)
     return PureState(space, coeffs, discarded_weight=tail)
 

@@ -80,14 +80,16 @@ def _displacement_factors(t: float, n_mech: int):
     return np.linalg.eigh(m)
 
 
-def _branch_phases(s: np.ndarray, t: float, beta: complex) -> np.ndarray:
+def _branch_phases(s: np.ndarray, t: float | np.ndarray, beta: complex) -> np.ndarray:
     """exp(i (s^2 (t - sin t) + s Im(eta beta))) for joint pulls s.
 
     beta = 0 gives the phase of the bare propagator; a nonzero beta adds the
     drive phase a branch picks up from displacing the coherent state |beta>.
+    t broadcasts against s: times of shape (S, 1) give the (S, len(s)) stack.
     """
-    tau = t - math.sin(t)
-    drive = (complex(eta(t)) * beta).imag
+    t = np.asarray(t, dtype=float)
+    tau = t - np.sin(t)
+    drive = (eta(t) * beta).imag
     return np.exp(1j * (s * s * tau + s * drive))
 
 
@@ -115,25 +117,52 @@ def evolve_unitary(state: PureState, t: float, params: ModelParams) -> PureState
     return PureState(state.space, x.reshape(-1), state.discarded_weight)
 
 
-def _branch_state(qc_weights: np.ndarray, t: float, params: ModelParams,
-                  cspace: CompositeSpace) -> PureState:
-    """Assemble sum_k w_k |q_k, n_k> (x) exp(i theta_k) |beta e^{-it} + s_k eta>.
+def _branch_state(qc_weights: np.ndarray, ts, params: ModelParams,
+                  cspace: CompositeSpace) -> tuple[np.ndarray, list[float]]:
+    """Assemble sum_k w_k |q_k, n_k> (x) exp(i theta_k) |beta e^{-it} + s_k eta>
+    at each of the S times `ts`, as one stack.
 
     qc_weights has shape (2, n_cav) and already carries the initial qubit and
     cavity amplitudes; this attaches branch phases and mechanics factors.
+    Returns the normalized (S, 2 n_cav, n_mech) amplitude matrices and the S
+    discarded weights.  Each captured weight is one vdot per sample, so every
+    slice is bit-identical to its S = 1 call.
     """
     nc, nm = cspace.n_cav, cspace.n_mech
     s = branch_shifts(params, nc)
-    phases = _branch_phases(s, t, params.beta)
-    phis = params.beta * np.exp(-1j * t) + s * complex(eta(t))
-    rows = coherent_amplitudes(phis, nm)
-    amp = (qc_weights.reshape(-1) * phases)[:, None] * rows
-    vec = amp.reshape(-1)
-    captured = float(np.vdot(vec, vec).real)
-    if captured <= 0:
-        raise ValueError("state lost entirely to truncation")
-    vec = vec / math.sqrt(captured)
-    return PureState(cspace.space, vec, discarded_weight=max(0.0, 1.0 - captured))
+    ts = np.asarray(ts, dtype=float)[:, None]
+    phases = _branch_phases(s, ts, params.beta)
+    phis = params.beta * np.exp(-1j * ts) + s * eta(ts)
+    amp = (qc_weights.reshape(-1) * phases)[..., None] * coherent_amplitudes(phis, nm)
+    discarded = []
+    for x in amp:
+        captured = float(np.vdot(x, x).real)
+        if captured <= 0:
+            raise ValueError("state lost entirely to truncation")
+        x /= math.sqrt(captured)
+        discarded.append(max(0.0, 1.0 - captured))
+    return amp, discarded
+
+
+def _fock_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray:
+    """Initial (2, n_cav) branch weights: qubit (up+down)/sqrt2, cavity (|0>-|1>)/sqrt2."""
+    if cspace.n_cav < 2:
+        raise ValueError("cavity truncation must be >= 2 for the |0>,|1> superposition")
+    w = np.zeros((2, cspace.n_cav), dtype=complex)
+    w[:, 0] = 0.5
+    w[:, 1] = -0.5
+    return w
+
+
+def _coherent_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray:
+    """Initial (2, n_cav) branch weights: qubit (up+down)/sqrt2, cavity |alpha>."""
+    return np.tile(coherent_amplitudes(params.alpha, cspace.n_cav) / math.sqrt(2.0), (2, 1))
+
+
+def _evolve_pure(weights, t: float, params: ModelParams, cspace: CompositeSpace) -> PureState:
+    """The one-time call of `_branch_state` from a `_*_weights` function."""
+    amp, discarded = _branch_state(weights(params, cspace), [t], params, cspace)
+    return PureState(cspace.space, amp[0], discarded_weight=discarded[0])
 
 
 def evolve_fock_superposition(t: float, params: ModelParams,
@@ -145,12 +174,7 @@ def evolve_fock_superposition(t: float, params: ModelParams,
     """
     if cspace is None:
         cspace = default_composite_space(params, family="fock")
-    if cspace.n_cav < 2:
-        raise ValueError("cavity truncation must be >= 2 for the |0>,|1> superposition")
-    w = np.zeros((2, cspace.n_cav), dtype=complex)
-    w[:, 0] = 0.5
-    w[:, 1] = -0.5
-    return _branch_state(w, t, params, cspace)
+    return _evolve_pure(_fock_weights, t, params, cspace)
 
 
 def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
@@ -175,8 +199,7 @@ def evolve_coherent(t: float, params: ModelParams,
     """Closed-form state for qubit (up+down)/sqrt2, cavity |alpha>, mech |beta>."""
     if cspace is None:
         cspace = default_composite_space(params, family="coherent")
-    w = np.tile(coherent_amplitudes(params.alpha, cspace.n_cav) / math.sqrt(2.0), (2, 1))
-    return _branch_state(w, t, params, cspace)
+    return _evolve_pure(_coherent_weights, t, params, cspace)
 
 
 def qubit_cavity_at_cycle(l: int, params: ModelParams,

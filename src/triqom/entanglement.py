@@ -1,6 +1,16 @@
 """Entanglement and mixedness diagnostics: negativity, linear entropy, and the
 residual qubit-cavity correlation that survives after subtracting what the
-oscillator carries."""
+oscillator carries.
+
+One stacked record kernel, `_records`, turns a stack of S pure tripartite
+states (their (2 n_cav, n_mech) amplitude matrices) into the rows of a time
+series: a batched SVD compresses each mechanics to its rank, samples of equal
+rank are reduced by one matrix product per pair, and each pair's partial
+transposes are eigensolved in one batched `eigvalsh`.  `entanglement_record`
+and `negativity` are its one-sample calls.  A DensityMatrix (the thermal
+family) enters as a stack of one, with its pair reductions from
+`partial_trace`.
+"""
 from __future__ import annotations
 
 import math
@@ -49,18 +59,36 @@ def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
     return state.density_matrix() if isinstance(state, PureState) else state
 
 
+def _partial_transposes(rhos: np.ndarray, space: Space, side: tuple[str, ...]) -> np.ndarray:
+    """A (g, d, d) stack of matrices on `space` with the ket/bra indices of the
+    `side` subsystems exchanged, as one contiguous stack."""
+    k = len(space.labels)
+    perm = list(range(2 * k))
+    for ax in (space.axis(l) for l in side):
+        perm[ax], perm[ax + k] = perm[ax + k], perm[ax]
+    t = rhos.reshape((-1,) + space.dims + space.dims)
+    return np.ascontiguousarray(np.transpose(t, [0] + [p + 1 for p in perm]).reshape(rhos.shape))
+
+
 def partial_transpose(rho: DensityMatrix, side: Iterable[str]) -> np.ndarray:
     """Matrix with the ket/bra indices of `side` subsystems exchanged."""
-    side = tuple(side)
-    space = rho.space
-    k = len(space.labels)
-    axes = [space.axis(l) for l in side]
-    t = rho.matrix.reshape(space.dims + space.dims)
-    perm = list(range(2 * k))
-    for ax in axes:
-        perm[ax], perm[ax + k] = perm[ax + k], perm[ax]
-    d = space.dim
-    return np.ascontiguousarray(np.transpose(t, perm).reshape(d, d))
+    return _partial_transposes(rho.matrix[None], rho.space, tuple(side))[0]
+
+
+def _negativities(rhos: np.ndarray, space: Space, side: tuple[str, ...]) -> np.ndarray:
+    """Negativity across `side` of each matrix in a (g, d, d) stack on `space`:
+    one batched eigensolve of the Hermitian parts of the partial transposes."""
+    herm = float(np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2))))
+    if herm > 1e-8:
+        raise ValueError(f"input deviates from Hermitian by {herm:.2e}")
+    pt = _partial_transposes(rhos, space, side)
+    w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
+    neg = np.zeros(len(w))
+    # eigvalsh sorts ascending, so a slice holds a negative eigenvalue iff its first does
+    for i in np.flatnonzero(w[:, 0] < NEG_EIG_TOL):
+        wi = w[i]
+        neg[i] = max(0.0, -wi[wi < NEG_EIG_TOL].sum())
+    return neg
 
 
 def negativity(state: PureState | DensityMatrix,
@@ -80,13 +108,7 @@ def negativity(state: PureState | DensityMatrix,
         side = tuple(partition)
         if not side or set(side) >= set(rho.space.labels):
             raise ValueError("partition side must be a proper nonempty subset")
-    herm = float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
-    if herm > 1e-8:
-        raise ValueError(f"input deviates from Hermitian by {herm:.2e}")
-    pt = partial_transpose(rho, side)
-    w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
-    neg = w[w < NEG_EIG_TOL]
-    return float(max(0.0, -neg.sum()))
+    return float(_negativities(rho.matrix[None], rho.space, side)[0])
 
 
 def linear_entropy(state: PureState | DensityMatrix) -> float:
@@ -146,41 +168,89 @@ class EntanglementRecord:
     intrinsic_qc: float
 
 
-def _compress_mechanics(state: PureState | DensityMatrix) -> PureState | DensityMatrix:
-    """Map the mechanics of a pure tripartite state onto the span it touches.
+# (kept pair, transposed side) for neg_qc, neg_qo and neg_oc
+_PAIRS = ((("qubit", "cavity"), ("qubit",)), (("qubit", "mech"), ("qubit",)),
+          (("cavity", "mech"), ("cavity",)))
 
-    M = U S V^dagger is the (2 n_cav x n_mech) amplitude matrix and r counts
-    the singular values above numpy's matrix_rank cutoff; U_r S_r differs from
-    M by the isometry V_r on the mechanics alone.
+# no stack a pure series builds (amplitudes and their SVD, pair reductions,
+# partial transposes) holds more bytes than this, except that a chunk always
+# takes one sample.  Stacking pays where a sample is a few KB and per-call
+# overhead dominates; at MB sizes the eigensolve does, and a larger stack only
+# raises the peak memory above that of one sample at a time.
+_STACK_BYTES = 2 * 2 ** 20
+
+
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of `count` samples of `item_bytes` each, with at most
+    _STACK_BYTES per slice and at least one sample."""
+    step = max(1, _STACK_BYTES // item_bytes)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _sample_bytes(n_cav: int, n_mech: int) -> int:
+    """Most bytes one pure sample's array takes in `_records`: its amplitude
+    matrix with the SVD factors, or its largest pair reduction at full rank."""
+    k = min(2 * n_cav, n_mech)
+    return 16 * max(2 * n_cav * n_mech + 2 * n_cav * k + k * n_mech,
+                    max(2 * n_cav, 2 * k, n_cav * k) ** 2)
+
+
+def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndarray:
+    """(g, 4) rows of neg_qc, neg_qo, neg_oc, intrinsic_qc from the stacked
+    (qc, qo, oc) pair reductions of g states on (qubit, cavity, mech) dims."""
+    space = Space(SUBSYSTEMS, dims)
+    _, nc, nm = dims
+    g = len(reds[0])
+    t_qc = reds[0].reshape(g, 2, nc, 2, nc)
+    singles = (np.trace(t_qc, axis1=2, axis2=4), np.trace(t_qc, axis1=1, axis2=3),
+               np.trace(reds[1].reshape(g, 2, nm, 2, nm), axis1=1, axis2=3))
+    # 1 - tr(rho^2), one vdot per sample as in DensityMatrix.purity
+    s_q, s_c, s_o = (1.0 - np.array([np.vdot(m, m).real for m in np.ascontiguousarray(x)])
+                     for x in singles)
+    out = np.empty((g, 4))
+    for j, (red, (keep, side)) in enumerate(zip(reds, _PAIRS)):
+        out[:, j] = _negativities(red, space.keep(keep), side)
+    out[:, 3] = s_q + s_c - s_o
+    return out
+
+
+def _records(states: np.ndarray | DensityMatrix, n_cav: int) -> np.ndarray:
+    """(S, 4) rows of neg_qc, neg_qo, neg_oc and intrinsic_qc for a stack of S
+    pure tripartite states, given as (S, 2 n_cav, n_mech) amplitude matrices, or
+    for one DensityMatrix (S = 1).
+
+    A pure state's mechanics is first compressed to its numerical rank r: with
+    M = U S V^dagger and r the singular values above numpy's matrix_rank cutoff,
+    U_r S_r differs from M by the isometry V_r on the mechanics alone, which
+    changes no reported field.  Samples of equal rank are then reduced (one
+    matrix product per pair) and eigensolved as one stack; callers cut a
+    series with `_chunks(S, _sample_bytes(n_cav, n_mech))`.  A density matrix
+    takes its pair reductions from `partial_trace`.
     """
-    if not isinstance(state, PureState):
-        return state
-    _, n_cav, n_mech = state.space.dims
-    m = state.amplitudes.reshape(2 * n_cav, n_mech)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = max(1, int(np.count_nonzero(s > s[0] * max(m.shape) * np.finfo(float).eps)))
-    return PureState(Space(SUBSYSTEMS, (2, n_cav, r)), u[:, :r] * s[:r],
-                     discarded_weight=state.discarded_weight)
+    if isinstance(states, DensityMatrix):
+        reds = [partial_trace(states, keep).matrix[None] for keep, _ in _PAIRS]
+        return _pair_records(reds, states.space.dims)
+    u, s = np.linalg.svd(states, full_matrices=False)[:2]
+    cut = s[:, :1] * max(states.shape[1:]) * np.finfo(float).eps
+    ranks = np.maximum(1, np.count_nonzero(s > cut, axis=1))
+    out = np.empty((len(states), 4))
+    for r in np.unique(ranks).tolist():
+        sel = np.flatnonzero(ranks == r)
+        x = (u[sel][..., :r] * s[sel][:, None, :r]).reshape(-1, 2, n_cav, r)
+        reds = []
+        for perm in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)):  # qc, qo, oc
+            m = np.transpose(x, perm).reshape(sel.size, -1, x.shape[perm[3]])
+            reds.append(m @ m.conj().swapaxes(-1, -2))
+        out[sel] = _pair_records(reds, (2, n_cav, r))
+    return out
 
 
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:
-    """All pairwise negativities plus the intrinsic measure for a tripartite state.
-
-    A pure state's mechanics is first compressed to its numerical rank
-    (`_compress_mechanics`), which changes no reported field.
-    """
-    CompositeSpace.of(state.space)
-    state = _compress_mechanics(state)
-    rho_qc = partial_trace(state, ("qubit", "cavity"))
-    rho_qo = partial_trace(state, ("qubit", "mech"))
-    rho_oc = partial_trace(state, ("cavity", "mech"))
-    s_q = linear_entropy(partial_trace(rho_qc, ("qubit",)))
-    s_c = linear_entropy(partial_trace(rho_qc, ("cavity",)))
-    s_o = linear_entropy(partial_trace(rho_qo, ("mech",)))
-    return EntanglementRecord(
-        time=float(t),
-        neg_qc=negativity(rho_qc, ("qubit",)),
-        neg_qo=negativity(rho_qo, ("qubit",)),
-        neg_oc=negativity(rho_oc, ("cavity",)),
-        intrinsic_qc=float(s_q + s_c - s_o),
-    )
+    """All pairwise negativities plus the intrinsic measure for a tripartite state:
+    the one-sample call of the stacked record kernel `_records`."""
+    cspace = CompositeSpace.of(state.space)
+    states = (state.amplitudes.reshape(1, 2 * cspace.n_cav, cspace.n_mech)
+              if isinstance(state, PureState) else state)
+    neg_qc, neg_qo, neg_oc, intrinsic = _records(states, cspace.n_cav)[0].tolist()
+    return EntanglementRecord(time=float(t), neg_qc=neg_qc, neg_qo=neg_qo,
+                              neg_oc=neg_oc, intrinsic_qc=intrinsic)

@@ -16,7 +16,10 @@ per column, the count, min, max and `math.fsum` of the values and of their
 squares.  A CSV column is a header column, a Wigner grid is one column `W`,
 and a manifest column is a numeric entry outside its `config` echo.  The
 file also records the numpy/scipy/BLAS build, because digests hold for one
-build only.
+build only, and the BLAS thread count.  The script pins that count to one
+before numpy loads: at two OpenBLAS threads `coherent_series.cfg`'s `neg_oc`
+moves in the last digit.  The eight quick configs give the same bytes at one
+and two threads, so `same_build` compares the build without it.
 
 `TestShippedScenarios::test_quick_config_runs` compares its outputs with the
 `configs` section.  No test reads the `slow` one: rerun the script and
@@ -28,13 +31,19 @@ of every entry whose digests moved.
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
+BLAS_THREADS = 1
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -63,6 +72,12 @@ def build() -> dict:
             "blas": blas.get("openblas configuration", f"{blas['name']} {blas['version']}"),
             "simd": cfg["SIMD Extensions"].get("found", []),
             "machine": platform.machine()}
+
+
+def same_build(recorded: dict) -> bool:
+    """Whether `recorded` (a golden file's `build`) is this build, whatever its
+    BLAS thread count."""
+    return {k: v for k, v in recorded.items() if k != "blas_threads"} == build()
 
 
 def _stats(values) -> dict:
@@ -164,8 +179,8 @@ def main() -> int:
             sections[section][name] = fingerprint(out)
     report_moved(json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {},
                  sections)
-    GOLDEN.write_text(json.dumps({"build": build(), **sections}, indent=1,
-                                 sort_keys=True) + "\n", encoding="utf-8")
+    golden = {"build": {**build(), "blas_threads": BLAS_THREADS}, **sections}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
     return 0
 

@@ -330,7 +330,7 @@ class TestShippedScenarios:
             assert (out / rel).is_file(), f"declared output {rel} missing"
         want = GOLDEN["configs"][name]
         got = golden_outputs.fingerprint(out)
-        if GOLDEN["build"] == golden_outputs.build():
+        if golden_outputs.same_build(GOLDEN["build"]):
             moved = sorted(f for f in set(want) | set(got)
                            if f not in want or f not in got
                            or got[f]["sha256"] != want[f]["sha256"])

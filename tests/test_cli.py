@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triqom import ModelParams, cavity_unconditional, displaced_fock
+import triqom.entanglement as ent
+from triqom import (ModelParams, cavity_unconditional, displaced_fock, entanglement_record,
+                    evolve_coherent, evolve_fock_superposition)
 from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
@@ -352,6 +354,73 @@ class TestRunScenarios:
                 assert results[flag] is True
             else:
                 assert flag not in results
+
+
+class TestStackedSeries:
+    """A pure series is evolved, reduced and eigensolved as stacks; each row
+    equals the one-sample `entanglement_record(evolve_*(t), t)` bit for bit."""
+
+    # rank 1 at t = 0 and 2 pi (the mechanics factors out), generic ranks between
+    GRID = "t_start = 0\nt_end = 6.283185307179586\n"
+    CASES = {
+        "fock": ("scenario = fock-entanglement\ng = 0.2\nlambda = 0.625\nbeta = 1\n"
+                 "samples = 9\n", evolve_fock_superposition),
+        "coherent": ("scenario = coherent-entanglement\ng = 0.2\nlambda = 0.25\n"
+                     "alpha = 2\nbeta = 2\nn_cav = 24\nn_mech = 70\nsamples = 4\n",
+                     evolve_coherent),
+    }
+
+    @staticmethod
+    def _one_at_a_time(cfg, evolve):
+        cspace = _closed_spaces(cfg)
+        rows = []
+        for t in np.linspace(cfg.t_start, cfg.t_end, cfg.samples):
+            rec = entanglement_record(evolve(float(t), cfg.params, cspace), float(t))
+            rows.append((rec.time, rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("per_chunk", [None, 2])
+    @pytest.mark.parametrize("family", ["fock", "coherent"])
+    def test_rows_equal_the_one_sample_record(self, tmp_path, monkeypatch, family, per_chunk):
+        text, evolve = self.CASES[family]
+        cfg = parse_config(text + self.GRID)
+        want = self._one_at_a_time(cfg, evolve)
+        # the whole series as one stack, or cut into chunks of two samples
+        cspace = _closed_spaces(cfg)
+        monkeypatch.setattr(ent, "_STACK_BYTES", (per_chunk or cfg.samples)
+                            * ent._sample_bytes(cspace.n_cav, cspace.n_mech))
+        stacks = []  # (mechanics rank, samples) of each stacked call
+        real = ent._pair_records
+
+        def spy(reds, dims):
+            stacks.append((dims[2], len(reds[0])))
+            return real(reds, dims)
+
+        monkeypatch.setattr(ent, "_pair_records", spy)
+        code, out = _run(tmp_path, text + self.GRID)
+        assert code == 0
+        got = np.loadtxt(out / "entanglement.csv", delimiter=",", skiprows=1)
+        assert got.tobytes() == want.tobytes()
+        assert sum(n for r, n in stacks if r == 1) == 2 and max(r for r, _ in stacks) > 1
+        sizes = [n for _, n in stacks]
+        if per_chunk:
+            assert max(sizes) <= per_chunk and len(sizes) >= cfg.samples // per_chunk
+        else:
+            assert max(sizes) > 1
+        assert max(want[:, 1]) > 0.1
+
+    def test_non_hermitian_stack_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        real = ent._pair_records
+
+        def skew(reds, dims):
+            reds[0][-1, 0, 1] += 1e-6  # one sample of the stack loses Hermiticity
+            return real(reds, dims)
+
+        monkeypatch.setattr(ent, "_pair_records", skew)
+        code, out = _run(tmp_path, FOCK_CFG)
+        assert code == 2
+        assert "deviates from Hermitian by 1.00e-06" in capsys.readouterr().err
+        assert not (out / "entanglement.csv").exists()
 
 
 class TestProgress:

@@ -286,13 +286,13 @@ class TestMechanicsCompression:
         import triqom.entanglement as ent
 
         widths = {}
-        real = ent.negativity
+        real = ent._negativities
 
-        def spy(state, partition):
-            widths[state.space.labels] = state.space.dim
-            return real(state, partition)
+        def spy(rhos, space, side):
+            widths[space.labels] = space.dim
+            return real(rhos, space, side)
 
-        monkeypatch.setattr(ent, "negativity", spy)
+        monkeypatch.setattr(ent, "_negativities", spy)
         p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0)
         entanglement_record(evolve_coherent(t, p, CompositeSpace(24, 70)), t)
         return widths
@@ -307,3 +307,48 @@ class TestMechanicsCompression:
         widths = self._spied_widths(monkeypatch, 1.3)
         assert widths[("cavity", "mech")] <= 24 * min(2 * 24, 70)
         assert widths[("qubit", "mech")] <= 2 * min(2 * 24, 70)
+
+
+class TestStackedKernel:
+    def test_stacks_stay_within_the_byte_budget(self):
+        # sizes only, nothing is allocated
+        from triqom.entanglement import _STACK_BYTES, _chunks, _sample_bytes
+
+        # coherent_series.cfg (65 samples at 24 x 70) and fock_maximal.cfg
+        for n_cav, n_mech, samples in ((24, 70, 65), (2, 36, 401)):
+            k = min(2 * n_cav, n_mech)  # the highest mechanics rank
+            amplitudes = 16 * (2 * n_cav * n_mech + 2 * n_cav * k + k * n_mech)
+            reductions = [16 * max(2 * n_cav, 2 * r, n_cav * r) ** 2 for r in range(1, k + 1)]
+            chunks = _chunks(samples, _sample_bytes(n_cav, n_mech))
+            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+            assert chunks[0].start == 0 and chunks[-1].stop == samples
+            for c in chunks:
+                n = c.stop - c.start
+                assert n == 1 or n * max(amplitudes, *reductions) <= _STACK_BYTES
+        # a full-rank 24 x 70 sample's neg_oc reduction is 1152^2 (21 MB), so
+        # that series runs one sample at a time and peaks no higher than before
+        assert len(_chunks(65, _sample_bytes(24, 70))) == 65
+        assert len(_chunks(401, _sample_bytes(2, 36))) == 1
+
+    def test_non_hermitian_stack_raises(self):
+        from triqom.entanglement import _negativities
+
+        space = Space(("qubit", "cavity"), (2, 3))
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_density(space.dim, rng) for _ in range(4)])
+        assert _negativities(stack, space, ("qubit",)).shape == (4,)
+        stack[2, 0, 5] += 1e-6
+        with pytest.raises(ValueError, match="deviates from Hermitian"):
+            _negativities(stack, space, ("qubit",))
+
+    def test_density_matrix_record_is_unchanged(self):
+        # pinned thermal records: a DensityMatrix takes the kernel's stack-of-one path
+        p = ModelParams(g=0.2, lam=0.25, alpha=1.0, nbar_mech=0.5)
+        want = {0.0: (0.0, 0.0, 0.0, -0.49999999971320475),
+                1.3: (0.0030585647067055428, 0.12886148952327292, 0.10017294868810443,
+                      -0.13166196841036837),
+                3.7: (0.11004976256080308, 0.12192785980025059, 0.10657797333524918,
+                      0.2330122597527836)}
+        for t, fields in want.items():
+            rec = entanglement_record(evolve_thermal(t, p, CompositeSpace(6, 20)), t)
+            assert _fields(rec)[1:] == pytest.approx(fields, rel=1e-12, abs=1e-15)

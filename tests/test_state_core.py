@@ -251,6 +251,34 @@ def test_displaced_fock_against_matrix_exponential():
             assert np.max(np.abs(st.amplitudes - ref)) < 1e-8
 
 
+def displaced_two_tail_oracle(dim, alpha, levels=200):
+    """Weight of D(alpha)|2> on levels [dim, levels): an fsum of the closed form
+    |<m|D(alpha)|2>|^2 = 2 x^(m-2) e^-x L_2^(m-2)(x)^2 / m!, x = |alpha|^2."""
+    x = abs(alpha) ** 2
+
+    def weight(m):
+        k = m - 2
+        lag = (k + 2) * (k + 1) / 2.0 - (k + 2) * x + x * x / 2.0
+        return 2.0 * math.exp(k * math.log(x) - x - math.lgamma(m + 1)) * lag * lag
+
+    return math.fsum(weight(m) for m in range(dim, levels))
+
+
+@pytest.mark.parametrize("alpha, dim", [(3.0, 44), (3.0, 41), (2.0, 30), (1.0, 19),
+                                        (1.2 + 0.4j, 24), (4.0, 60)])
+def test_displaced_fock_reports_the_exact_tail(alpha, dim):
+    st = displaced_fock(alpha, 1, dim)
+    assert st.discarded_weight == pytest.approx(_displaced_one_tail(dim, alpha),
+                                                rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, dim", [(3.0, 44), (3.0, 36), (2.0, 30), (1.2 + 0.4j, 24)])
+def test_displaced_two_reports_the_exact_tail(alpha, dim):
+    st = displaced_fock(alpha, 2, dim)
+    assert st.discarded_weight == pytest.approx(displaced_two_tail_oracle(dim, alpha),
+                                                rel=1e-12, abs=0.0)
+
+
 def test_displaced_fock_rejects_small_dim():
     with pytest.raises(ValueError):
         displaced_fock(2.5, 3, 8)
