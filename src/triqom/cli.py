@@ -30,7 +30,8 @@ from .core import (
     qubit_state,
     tensor,
 )
-from .dynamics import _branch_state, _coherent_weights, _fock_weights, evolve_thermal
+from .dynamics import (_branch_state, _coherent_weights, _fock_weights,
+                       _thermal_purification)
 from .entanglement import _chunks, _records, _sample_bytes
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
@@ -239,42 +240,34 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # scenario implementations
 
-def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    return np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-
-
 def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     n_cav = cfg.n_cav or (2 if cfg.scenario == "fock-entanglement"
                           else coherent_dim(cfg.params.alpha))
     return CompositeSpace(n_cav, cfg.n_mech or mechanics_dim(cfg.params, n_cav))
 
 
-def _pure_series(weights):
-    """Chunks (times, stacked amplitudes, discarded weights) of a pure family's
-    series, from its initial (2, n_cav) branch weights."""
-    def chunks(cfg: ScenarioConfig, cspace: CompositeSpace, ts: np.ndarray):
-        w = weights(cfg.params, cspace)
-        for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech)):
-            yield ts[c], *_branch_state(w, ts[c], cfg.params, cspace)
-    return chunks
+def _series(cfg: ScenarioConfig, cspace: CompositeSpace):
+    """Chunks (times, (S, K, 2 n_cav, n_mech) amplitude stack, discarded
+    weights) of a closed family's series on the config's time grid: K = 1 for
+    a pure family, and the n_mech rows of its purification for the thermal one."""
+    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
+    if cfg.scenario == "thermal-entanglement":
+        k, build = cspace.n_mech, _thermal_purification
+    else:
+        w = (_fock_weights if cfg.scenario == "fock-entanglement"
+             else _coherent_weights)(cfg.params, cspace)
+        k, build = 1, lambda *a: _branch_state(w, *a)
+    for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
+        yield ts[c], *build(ts[c], cfg.params, cspace)
 
 
-def _thermal_series(cfg: ScenarioConfig, cspace: CompositeSpace, ts: np.ndarray):
-    """One chunk per time: each sample is an (n_cav n_mech)^2 density matrix."""
-    for i, t in enumerate(ts):
-        rho = evolve_thermal(float(t), cfg.params, cspace)
-        yield ts[i:i + 1], rho, [rho.discarded_weight]
-
-
-def _run_entanglement(series, cfg: ScenarioConfig, out_dir: Path,
-                      manifest: dict) -> None:
+def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
-    ts = _time_grid(cfg)
     blocks = []
     max_discard = 0.0
-    for times, states, discarded in series(cfg, cspace, ts):
+    for times, states, discarded in _series(cfg, cspace):
         blocks.append(np.column_stack([times, _records(states, cspace.n_cav)]))
-        max_discard = max(max_discard, *discarded)
+        max_discard = max(max_discard, float(np.max(discarded)))
     rows = np.concatenate(blocks)
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
@@ -365,12 +358,12 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 
-# evolve_thermal is looked up when a scenario runs, not when this table is
-# built, so a module attribute patched later (a tracer, a mock) is the one called
+# `_series` looks its state builders up when a scenario runs, so a module
+# attribute patched later (a tracer, a mock) is the one called
 _RUNNERS = {
-    "fock-entanglement": lambda *a: _run_entanglement(_pure_series(_fock_weights), *a),
-    "coherent-entanglement": lambda *a: _run_entanglement(_pure_series(_coherent_weights), *a),
-    "thermal-entanglement": lambda *a: _run_entanglement(_thermal_series, *a),
+    "fock-entanglement": _run_entanglement,
+    "coherent-entanglement": _run_entanglement,
+    "thermal-entanglement": _run_entanglement,
     "open-sweep": _run_open_sweep,
     "cat-unconditional": _run_cat,
     "cat-conditional": _run_cat,

@@ -124,7 +124,7 @@ def _branch_state(qc_weights: np.ndarray, ts, params: ModelParams,
 
     qc_weights has shape (2, n_cav) and already carries the initial qubit and
     cavity amplitudes; this attaches branch phases and mechanics factors.
-    Returns the normalized (S, 2 n_cav, n_mech) amplitude matrices and the S
+    Returns the normalized (S, 1, 2 n_cav, n_mech) amplitudes and the S
     discarded weights.  Each captured weight is one vdot per sample, so every
     slice is bit-identical to its S = 1 call.
     """
@@ -141,7 +141,7 @@ def _branch_state(qc_weights: np.ndarray, ts, params: ModelParams,
             raise ValueError("state lost entirely to truncation")
         x /= math.sqrt(captured)
         discarded.append(max(0.0, 1.0 - captured))
-    return amp, discarded
+    return amp[:, None], discarded
 
 
 def _fock_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray:
@@ -162,7 +162,7 @@ def _coherent_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray
 def _evolve_pure(weights, t: float, params: ModelParams, cspace: CompositeSpace) -> PureState:
     """The one-time call of `_branch_state` from a `_*_weights` function."""
     amp, discarded = _branch_state(weights(params, cspace), [t], params, cspace)
-    return PureState(cspace.space, amp[0], discarded_weight=discarded[0])
+    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
 
 
 def evolve_fock_superposition(t: float, params: ModelParams,
@@ -224,27 +224,35 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
                      discarded_weight=float(_poisson_tail(n_cav, params.alpha)))
 
 
+def _thermal_purification(ts, params: ModelParams,
+                          cspace: CompositeSpace) -> tuple[np.ndarray, float]:
+    """The thermal family at the S times `ts` as a purification: the
+    (S, n_mech, 2 n_cav, n_mech) stack of y_m = sqrt(p_m) U(t) (psi_qc (x) |m>),
+    one per thermal level m, with rho(t) = sum_m y_m y_m^dagger; and the
+    discarded weight, the same at every time."""
+    nc, nm = cspace.n_cav, cspace.n_mech
+    psi_qc = _coherent_weights(params, cspace).reshape(-1)
+    psi_qc /= np.linalg.norm(psi_qc)
+    th = thermal_density(params.nbar_mech, nm)
+    x = psi_qc[None, :, None] * np.diag(np.sqrt(np.diag(th.matrix).real))[:, None, :]
+    y = np.stack([_propagate(x, t, params) for t in ts])
+    w_total = 1.0 - (1.0 - _poisson_tail(nc, params.alpha)) * (1.0 - th.discarded_weight)
+    return y, float(w_total)
+
+
 def evolve_thermal(t: float, params: ModelParams,
                    cspace: CompositeSpace | None = None) -> DensityMatrix:
     """Full tripartite state at time t for thermal initial mechanics.
 
     Initial state: qubit (up+down)/sqrt2, cavity |alpha>, mechanics thermal at
-    nbar_mech.  Computed as the thermal mixture sum_m p_m |psi_m><psi_m| of the
-    exact truncated propagator applied to psi_qc (x) |m>, one column per level.
+    nbar_mech: sum_m p_m |psi_m><psi_m| of the exact truncated propagator
+    applied to psi_qc (x) |m>, the contraction of `_thermal_purification`.
     """
     if cspace is None:
         cspace = default_composite_space(params, family="thermal")
-    nc, nm = cspace.n_cav, cspace.n_mech
-    cav = coherent_amplitudes(params.alpha, nc)
-    psi_qc = np.concatenate([cav, cav]) / math.sqrt(2.0)
-    psi_qc /= np.linalg.norm(psi_qc)
-    th = thermal_density(params.nbar_mech, nm)
-    p = np.diag(th.matrix).real
-    x = psi_qc[None, :, None] * np.diag(np.sqrt(p))[:, None, :]
-    y = _propagate(x, t, params).reshape(nm, -1)
-    rho = y.T @ y.conj()
-    w_total = 1.0 - (1.0 - _poisson_tail(nc, params.alpha)) * (1.0 - th.discarded_weight)
-    return DensityMatrix(cspace.space, rho, discarded_weight=float(w_total))
+    y, w_total = _thermal_purification([t], params, cspace)
+    y = y[0].reshape(cspace.n_mech, -1)
+    return DensityMatrix(cspace.space, y.T @ y.conj(), discarded_weight=w_total)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 residual qubit-cavity correlation that survives after subtracting what the
 oscillator carries.
 
-One stacked record kernel, `_records`, turns a stack of S pure tripartite
-states (their (2 n_cav, n_mech) amplitude matrices) into the rows of a time
-series: a batched SVD compresses each mechanics to its rank, samples of equal
-rank are reduced by one matrix product per pair, and each pair's partial
-transposes are eigensolved in one batched `eigvalsh`.  `entanglement_record`
-and `negativity` are its one-sample calls.  A DensityMatrix (the thermal
-family) enters as a stack of one, with its pair reductions from
-`partial_trace`.
+One stacked record kernel, `_records`, turns a stack of S tripartite states,
+each K amplitude matrices (K = 1 for a pure state, one per thermal level for
+thermal mechanics), into the rows of a time series: a batched SVD compresses
+each mechanics to its rank, samples of equal rank are reduced by one matrix
+product per pair, and each pair's partial transposes are eigensolved in one
+batched `eigvalsh`.  `entanglement_record` of a pure state is its one-sample
+call; a DensityMatrix takes its pair reductions from `partial_trace`.
 """
 from __future__ import annotations
 
@@ -55,10 +54,6 @@ class BipartitePartition:
         object.__setattr__(self, "side_b", b)
 
 
-def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
-    return state.density_matrix() if isinstance(state, PureState) else state
-
-
 def _partial_transposes(rhos: np.ndarray, space: Space, side: tuple[str, ...]) -> np.ndarray:
     """A (g, d, d) stack of matrices on `space` with the ket/bra indices of the
     `side` subsystems exchanged, as one contiguous stack."""
@@ -98,7 +93,7 @@ def negativity(state: PureState | DensityMatrix,
     `partition` may be a BipartitePartition or just the labels of one side
     (the other side is the complement).  0.5 for a maximally entangled pair.
     """
-    rho = _as_density(state)
+    rho = state.density_matrix() if isinstance(state, PureState) else state
     if isinstance(partition, BipartitePartition):
         side = partition.side_a
         declared = set(partition.side_a) | set(partition.side_b)
@@ -172,7 +167,7 @@ class EntanglementRecord:
 _PAIRS = ((("qubit", "cavity"), ("qubit",)), (("qubit", "mech"), ("qubit",)),
           (("cavity", "mech"), ("cavity",)))
 
-# no stack a pure series builds (amplitudes and their SVD, pair reductions,
+# no stack a series builds (amplitudes and their SVD, pair reductions,
 # partial transposes) holds more bytes than this, except that a chunk always
 # takes one sample.  Stacking pays where a sample is a few KB and per-call
 # overhead dominates; at MB sizes the eigensolve does, and a larger stack only
@@ -187,12 +182,12 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _sample_bytes(n_cav: int, n_mech: int) -> int:
-    """Most bytes one pure sample's array takes in `_records`: its amplitude
-    matrix with the SVD factors, or its largest pair reduction at full rank."""
-    k = min(2 * n_cav, n_mech)
-    return 16 * max(2 * n_cav * n_mech + 2 * n_cav * k + k * n_mech,
-                    max(2 * n_cav, 2 * k, n_cav * k) ** 2)
+def _sample_bytes(n_cav: int, n_mech: int, k: int = 1) -> int:
+    """Most bytes one sample of K amplitude matrices takes in `_records`: its
+    amplitudes with their SVD factors, or its largest pair reduction at full rank."""
+    r = min(2 * k * n_cav, n_mech)
+    return 16 * max(2 * k * n_cav * n_mech + 2 * k * n_cav * r + r * n_mech,
+                    max(2 * n_cav, 2 * r, n_cav * r) ** 2)
 
 
 def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndarray:
@@ -214,43 +209,47 @@ def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndar
     return out
 
 
-def _records(states: np.ndarray | DensityMatrix, n_cav: int) -> np.ndarray:
-    """(S, 4) rows of neg_qc, neg_qo, neg_oc and intrinsic_qc for a stack of S
-    pure tripartite states, given as (S, 2 n_cav, n_mech) amplitude matrices, or
-    for one DensityMatrix (S = 1).
+def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
+    """(S, 4) rows of neg_qc, neg_qo, neg_oc and intrinsic_qc for S tripartite
+    states given as (S, K, 2 n_cav, n_mech) amplitudes y: state i is
+    sum_k y_ik y_ik^dagger.
 
-    A pure state's mechanics is first compressed to its numerical rank r: with
-    M = U S V^dagger and r the singular values above numpy's matrix_rank cutoff,
-    U_r S_r differs from M by the isometry V_r on the mechanics alone, which
-    changes no reported field.  Samples of equal rank are then reduced (one
-    matrix product per pair) and eigensolved as one stack; callers cut a
-    series with `_chunks(S, _sample_bytes(n_cav, n_mech))`.  A density matrix
-    takes its pair reductions from `partial_trace`.
+    Each mechanics is first compressed to its numerical rank r: with the
+    (K 2 n_cav, n_mech) matrix M = U S V^dagger and r the singular values above
+    numpy's matrix_rank cutoff, U_r S_r differs from M by the isometry V_r on
+    the mechanics alone, which changes no reported field.  Samples of equal
+    rank are reduced as Z Z^dagger, with Z of shape (2 n_cav, K r) for qc,
+    (2 r, K n_cav) for qo and (n_cav r, 2 K) for oc, and eigensolved as one
+    stack; callers cut a series with `_chunks(S, _sample_bytes(n_cav, n_mech, K))`.
     """
-    if isinstance(states, DensityMatrix):
-        reds = [partial_trace(states, keep).matrix[None] for keep, _ in _PAIRS]
-        return _pair_records(reds, states.space.dims)
-    u, s = np.linalg.svd(states, full_matrices=False)[:2]
-    cut = s[:, :1] * max(states.shape[1:]) * np.finfo(float).eps
+    count, k = states.shape[:2]
+    mats = states.reshape(count, -1, states.shape[-1])
+    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
+    cut = s[:, :1] * max(mats.shape[1:]) * np.finfo(float).eps
     ranks = np.maximum(1, np.count_nonzero(s > cut, axis=1))
-    out = np.empty((len(states), 4))
+    out = np.empty((count, 4))
     for r in np.unique(ranks).tolist():
         sel = np.flatnonzero(ranks == r)
-        x = (u[sel][..., :r] * s[sel][:, None, :r]).reshape(-1, 2, n_cav, r)
+        x = (u[sel][..., :r] * s[sel][:, None, :r]).reshape(-1, k, 2, n_cav, r)
         reds = []
-        for perm in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)):  # qc, qo, oc
-            m = np.transpose(x, perm).reshape(sel.size, -1, x.shape[perm[3]])
+        # rows (kept pair), columns (K, the traced party)
+        for perm in ((0, 2, 3, 1, 4), (0, 2, 4, 1, 3), (0, 3, 4, 1, 2)):  # qc, qo, oc
+            m = np.transpose(x, perm).reshape(sel.size, -1, k * x.shape[perm[4]])
             reds.append(m @ m.conj().swapaxes(-1, -2))
         out[sel] = _pair_records(reds, (2, n_cav, r))
     return out
 
 
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:
-    """All pairwise negativities plus the intrinsic measure for a tripartite state:
-    the one-sample call of the stacked record kernel `_records`."""
+    """All pairwise negativities plus the intrinsic measure for a tripartite
+    state: a pure state is the one-sample call of the stacked record kernel
+    `_records`, and a density matrix is reduced by `partial_trace`."""
     cspace = CompositeSpace.of(state.space)
-    states = (state.amplitudes.reshape(1, 2 * cspace.n_cav, cspace.n_mech)
-              if isinstance(state, PureState) else state)
-    neg_qc, neg_qo, neg_oc, intrinsic = _records(states, cspace.n_cav)[0].tolist()
+    if isinstance(state, PureState):
+        rows = _records(state.amplitudes.reshape(1, 1, 2 * cspace.n_cav, -1), cspace.n_cav)
+    else:
+        rows = _pair_records([partial_trace(state, keep).matrix[None] for keep, _ in _PAIRS],
+                             state.space.dims)
+    neg_qc, neg_qo, neg_oc, intrinsic = rows[0].tolist()
     return EntanglementRecord(time=float(t), neg_qc=neg_qc, neg_qo=neg_qo,
                               neg_oc=neg_oc, intrinsic_qc=intrinsic)

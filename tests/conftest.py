@@ -4,11 +4,19 @@ Everything here is built from scratch on dense numpy arrays so the library is
 checked against independent constructions: a brute-force propagator for the
 tripartite Hamiltonian, a position-quadrature Wigner transform, and a
 Schmidt-coefficient negativity formula for pure bipartite states.
+
+The suite runs at one BLAS thread, the count `golden_outputs.py` records its
+digests at: some outputs (the thermal and large coherent series) move in the
+last digit at more threads.  It is pinned here, before numpy loads.
 """
 import math
+import os
 
-import numpy as np
-from scipy import linalg
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+from scipy import linalg  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 

@@ -5,7 +5,7 @@
 runs scenario configs through the CLI and writes `tests/golden_outputs.json`
 in two sections:
 
-- `configs`: the eight quick configs under `scenarios/`;
+- `configs`: the nine quick configs under `scenarios/`;
 - `slow`: `coherent_series.cfg` and `open_sweep.cfg` (about a minute between
   them), and the `open-cell` and `closed-series` configs that
   `perfbench.workloads.setup` writes for seeds 1 and 2.
@@ -18,8 +18,8 @@ and a manifest column is a numeric entry outside its `config` echo.  The
 file also records the numpy/scipy/BLAS build, because digests hold for one
 build only, and the BLAS thread count.  The script pins that count to one
 before numpy loads: at two OpenBLAS threads `coherent_series.cfg`'s `neg_oc`
-moves in the last digit.  The eight quick configs give the same bytes at one
-and two threads, so `same_build` compares the build without it.
+and every thermal series move in the last digit.  `tests/conftest.py` pins
+the suite to the same count, so `same_build` compares the build without it.
 
 `TestShippedScenarios::test_quick_config_runs` compares its outputs with the
 `configs` section.  No test reads the `slow` one: rerun the script and
@@ -58,6 +58,7 @@ QUICK = [
     "kitten_unconditional.cfg",
     "kitten_optimal.cfg",
     "kitten_fidelity_scan.cfg",
+    "thermal_hot.cfg",
 ]
 SLOW = ["coherent_series.cfg", "open_sweep.cfg"]
 PERFBENCH = [("open-cell", 1), ("open-cell", 2), ("closed-series", 1), ("closed-series", 2)]

@@ -340,3 +340,18 @@ class TestShippedScenarios:
         else:
             far = golden_outputs.deltas(want, got, rtol=GOLDEN_RTOL)
             assert not far, f"{name}, on another build:\n" + "\n".join(far)
+
+    def test_hot_mechanics_keeps_the_cycle_negativity(self, tmp_path):
+        # thermal_hot.cfg starts the mechanics at nbar = 2; at t = 2 pi l it
+        # factors out, leaving the pure qubit-cavity cycle state of any start
+        path = SCENARIO_DIR / "thermal_hot.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = np.loadtxt(tmp_path / "entanglement.csv", delimiter=",", skiprows=1)
+        for l in (1, 2):
+            t, neg_qc, neg_qo, neg_oc, _ = rows[np.argmin(np.abs(rows[:, 0] - TWO_PI * l))]
+            assert abs(t - TWO_PI * l) < 1e-12
+            pair = qubit_cavity_at_cycle(l, cfg.params, n_cav=cfg.n_cav)
+            assert abs(neg_qc - negativity(pair, ("qubit",))) <= 1e-12
+            assert neg_qo == neg_oc == 0.0
+        assert rows[:, 1].max() > 0.4

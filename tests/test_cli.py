@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import triqom.cli
+import triqom.dynamics as dyn
 import triqom.entanglement as ent
 from triqom import (ModelParams, cavity_unconditional, displaced_fock, entanglement_record,
-                    evolve_coherent, evolve_fock_superposition)
+                    evolve_coherent, evolve_fock_superposition, evolve_thermal)
 from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
 
 TWO_PI = 2.0 * math.pi
@@ -423,6 +425,56 @@ class TestStackedSeries:
         assert not (out / "entanglement.csv").exists()
 
 
+class TestThermalSeries:
+    """The thermal series enters the record kernel as its purification, one
+    amplitude matrix per mechanics level; each row agrees with the density-matrix
+    `entanglement_record(evolve_thermal(t), t)` to rounding."""
+
+    TEXT = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 1\n"
+            "nbar = 0.5\nn_cav = 6\nn_mech = 16\nt_start = 0.5\nt_end = 5.5\n"
+            "samples = 5\n")
+
+    @pytest.mark.parametrize("per_chunk", [None, 2])
+    def test_rows_agree_with_the_density_record(self, tmp_path, monkeypatch, per_chunk):
+        cfg = parse_config(self.TEXT)
+        cspace = _closed_spaces(cfg)
+        want = []
+        for t in np.linspace(cfg.t_start, cfg.t_end, cfg.samples):
+            rec = entanglement_record(evolve_thermal(float(t), cfg.params, cspace), float(t))
+            want.append((rec.time, rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc))
+        want = np.array(want)
+        # the whole series as one stack, or cut into chunks of two samples
+        monkeypatch.setattr(ent, "_STACK_BYTES", (per_chunk or cfg.samples) * ent._sample_bytes(
+            cspace.n_cav, cspace.n_mech, cspace.n_mech))
+        calls, stacks = [], []  # density-matrix calls; samples per stacked call
+        real_pair_records = ent._pair_records
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        def stacked(reds, dims):
+            stacks.append(len(reds[0]))
+            return real_pair_records(reds, dims)
+
+        monkeypatch.setattr(ent, "_pair_records", stacked)
+        monkeypatch.setattr(dyn, "evolve_thermal", spy("evolve_thermal", dyn.evolve_thermal))
+        monkeypatch.setattr(ent, "partial_trace", spy("partial_trace", ent.partial_trace))
+        code, out = _run(tmp_path, self.TEXT)
+        assert code == 0
+        # no d x d density matrix: the CLI neither evolves nor partially traces one
+        assert calls == [] and not hasattr(triqom.cli, "evolve_thermal")
+        got = np.loadtxt(out / "entanglement.csv", delimiter=",", skiprows=1)
+        assert np.abs(got - want).max() <= 1e-13
+        assert min(want[1:, 1]) > 1e-4 and min(want[:, 3]) > 1e-2  # generic times
+        if per_chunk:
+            assert max(stacks) <= per_chunk and len(stacks) >= cfg.samples // per_chunk
+        else:
+            assert max(stacks) > 1
+
+
 class TestProgress:
     def _main(self, tmp_path, *extra):
         cfg = tmp_path / "run.cfg"
@@ -517,7 +569,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 58.2 TiB")
 
-        monkeypatch.setattr("triqom.cli.evolve_thermal", refuse)
+        monkeypatch.setattr("triqom.cli._thermal_purification", refuse)
         text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\n"
                 "n_cav = 2\nn_mech = 2000000\nsamples = 2\n")
         code, _ = _run(tmp_path, text)

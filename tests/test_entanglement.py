@@ -314,12 +314,14 @@ class TestStackedKernel:
         # sizes only, nothing is allocated
         from triqom.entanglement import _STACK_BYTES, _chunks, _sample_bytes
 
-        # coherent_series.cfg (65 samples at 24 x 70) and fock_maximal.cfg
-        for n_cav, n_mech, samples in ((24, 70, 65), (2, 36, 401)):
-            k = min(2 * n_cav, n_mech)  # the highest mechanics rank
-            amplitudes = 16 * (2 * n_cav * n_mech + 2 * n_cav * k + k * n_mech)
-            reductions = [16 * max(2 * n_cav, 2 * r, n_cav * r) ** 2 for r in range(1, k + 1)]
-            chunks = _chunks(samples, _sample_bytes(n_cav, n_mech))
+        # coherent_series.cfg (65 samples at 24 x 70), fock_maximal.cfg, and
+        # thermal stacks of K = n_mech amplitude matrices per sample
+        for n_cav, n_mech, k, samples in ((24, 70, 1, 65), (2, 36, 1, 401),
+                                          (20, 40, 40, 3), (2, 4, 4, 50)):
+            top = min(2 * k * n_cav, n_mech)  # the highest mechanics rank
+            amplitudes = 16 * (2 * k * n_cav * n_mech + 2 * k * n_cav * top + top * n_mech)
+            reductions = [16 * max(2 * n_cav, 2 * r, n_cav * r) ** 2 for r in range(1, top + 1)]
+            chunks = _chunks(samples, _sample_bytes(n_cav, n_mech, k))
             assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
             assert chunks[0].start == 0 and chunks[-1].stop == samples
             for c in chunks:
@@ -329,6 +331,10 @@ class TestStackedKernel:
         # that series runs one sample at a time and peaks no higher than before
         assert len(_chunks(65, _sample_bytes(24, 70))) == 65
         assert len(_chunks(401, _sample_bytes(2, 36))) == 1
+        # a thermal sample at 20 x 40 reduces neg_oc at 800^2 (10 MB), one
+        # sample per chunk; at 2 x 4 one chunk holds the whole series
+        assert len(_chunks(3, _sample_bytes(20, 40, 40))) == 3
+        assert len(_chunks(50, _sample_bytes(2, 4, 4))) == 1
 
     def test_non_hermitian_stack_raises(self):
         from triqom.entanglement import _negativities
@@ -342,7 +348,7 @@ class TestStackedKernel:
             _negativities(stack, space, ("qubit",))
 
     def test_density_matrix_record_is_unchanged(self):
-        # pinned thermal records: a DensityMatrix takes the kernel's stack-of-one path
+        # pinned thermal records: a DensityMatrix is reduced by partial_trace
         p = ModelParams(g=0.2, lam=0.25, alpha=1.0, nbar_mech=0.5)
         want = {0.0: (0.0, 0.0, 0.0, -0.49999999971320475),
                 1.3: (0.0030585647067055428, 0.12886148952327292, 0.10017294868810443,
