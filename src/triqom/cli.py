@@ -35,6 +35,7 @@ from .dynamics import (_branch_state, _coherent_weights, _fock_weights,
 from .entanglement import _chunks, _records, _sample_bytes
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
+    _axis,
     cavity_unconditional,
     default_axis,
     fidelity_displaced_fock,
@@ -227,7 +228,7 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     def axis(line):
         lo, hi, count = line.split(":", 1)[1].split()
-        return np.linspace(float(lo), float(hi), int(count))
+        return _axis(float(lo), float(hi), int(count))
 
     x, y = axis(lines[0]), axis(lines[1])
     values = np.loadtxt(lines[2:], ndmin=2)

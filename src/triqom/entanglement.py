@@ -56,28 +56,43 @@ class BipartitePartition:
 
 def _partial_transposes(rhos: np.ndarray, space: Space, side: tuple[str, ...]) -> np.ndarray:
     """A (g, d, d) stack of matrices on `space` with the ket/bra indices of the
-    `side` subsystems exchanged, as one contiguous stack."""
+    `side` subsystems exchanged, as a (g,) + dims + dims view that copies nothing."""
     k = len(space.labels)
     perm = list(range(2 * k))
     for ax in (space.axis(l) for l in side):
         perm[ax], perm[ax + k] = perm[ax + k], perm[ax]
     t = rhos.reshape((-1,) + space.dims + space.dims)
-    return np.ascontiguousarray(np.transpose(t, [0] + [p + 1 for p in perm]).reshape(rhos.shape))
+    return np.transpose(t, [0] + [p + 1 for p in perm])
 
 
 def partial_transpose(rho: DensityMatrix, side: Iterable[str]) -> np.ndarray:
     """Matrix with the ket/bra indices of `side` subsystems exchanged."""
-    return _partial_transposes(rho.matrix[None], rho.space, tuple(side))[0]
+    pt = _partial_transposes(rho.matrix[None], rho.space, tuple(side))
+    return pt.reshape(rho.matrix.shape)
 
 
 def _negativities(rhos: np.ndarray, space: Space, side: tuple[str, ...]) -> np.ndarray:
     """Negativity across `side` of each matrix in a (g, d, d) stack on `space`:
-    one batched eigensolve of the Hermitian parts of the partial transposes."""
-    herm = float(np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2))))
+    one batched eigensolve of the Hermitian parts of the partial transposes.
+
+    Besides the input, only one stack-sized array is held: the Hermitian part,
+    built as conj(pt^T) + pt in place.  Hermiticity is checked one block of
+    rows at a time."""
+    d = rhos.shape[-1]
+    step = -(-d // 8)
+    herm = max(float(np.max(np.abs(rhos[:, i:i + step]
+                                   - rhos[:, :, i:i + step].conj().swapaxes(-1, -2))))
+               for i in range(0, d, step))
     if herm > 1e-8:
         raise ValueError(f"input deviates from Hermitian by {herm:.2e}")
     pt = _partial_transposes(rhos, space, side)
-    w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
+    k = len(space.labels)
+    h = np.empty_like(rhos, order="C")
+    ht = h.reshape(pt.shape)
+    np.conjugate(pt.transpose([0, *range(k + 1, 2 * k + 1), *range(1, k + 1)]), out=ht)
+    ht += pt
+    h *= 0.5
+    w = np.linalg.eigvalsh(h)
     neg = np.zeros(len(w))
     # eigvalsh sorts ascending, so a slice holds a negative eigenvalue iff its first does
     for i in np.flatnonzero(w[:, 0] < NEG_EIG_TOL):

@@ -109,15 +109,24 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
     # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows
     cur = np.exp(special.xlogy(0.5 * d, radius) - 0.5 * radius
                  - 0.5 * special.gammaln(d + 1.0))
-    prev = np.zeros_like(cur)
     coeff = rho[0, :, None] * cur
+    # rows d < k of three real buffers hold l_{m-1}, l_m and l_{m+1}; they
+    # rotate each step, so the loop allocates no (dim x radii) temporaries
+    prev, nxt = np.zeros_like(cur), np.empty_like(cur)
+    term = np.empty_like(coeff)
     for m in range(1, dim):
         k = dim - m  # diagonals d < k still have a term rho[m, m+d]
         dk = d[:k]
-        nxt = ((2 * m - 1 + dk - radius) * cur[:k]
-               - np.sqrt((m - 1) * (m - 1 + dk)) * prev[:k]) / np.sqrt(m * (m + dk))
-        prev, cur = cur[:k], nxt
-        coeff[:k] += (-1) ** m * rho[m, m:, None] * cur
+        new = nxt[:k]
+        np.subtract(2 * m - 1 + dk, radius, out=new)
+        new *= cur[:k]
+        old = prev[:k]
+        old *= np.sqrt((m - 1) * (m - 1 + dk))
+        new -= old
+        new /= np.sqrt(m * (m + dk))
+        prev, cur, nxt = cur, nxt, prev
+        np.multiply((-1) ** m * rho[m, m:, None], new, out=term[:k])
+        coeff[:k] += term[:k]
     coeff[1:] *= 2.0
     # e^{i theta}; 0 at the origin, where every c_d with d > 0 vanishes
     phase = two_a / np.where(norm == 0.0, 1.0, norm)
@@ -137,10 +146,26 @@ def wigner(state: PureState | DensityMatrix, x_axis: np.ndarray,
     return WignerGrid(x, y, wigner_at(state, pts))
 
 
+def _axis(lo: float, hi: float, count: int) -> np.ndarray:
+    """np.linspace(lo, hi, count), with a symmetric span (lo == -hi, count > 1)
+    mirrored exactly: its lower half is the negated upper half, so
+    x_i == -x_{n-1-i} bit for bit and an odd count has 0 at its centre.  On
+    such axes +-x, +-y and x <-> y give one float radius |x + i y|, which
+    `wigner_at` groups exactly; linspace alone misses its mirror by an ulp."""
+    ax = np.linspace(lo, hi, count)
+    if lo == -hi and count > 1:
+        half = count // 2
+        ax[:half] = -ax[:count - half - 1:-1]
+        if count % 2:
+            ax[half] = 0.0
+    return ax
+
+
 def default_axis(alpha: complex, count: int = 201) -> np.ndarray:
-    """Symmetric quadrature axis wide enough for every lobe of an alpha-sized cat."""
+    """Symmetric quadrature axis wide enough for every lobe of an alpha-sized
+    cat, exactly mirrored about 0 (see `_axis`)."""
     half = abs(alpha) + 4.0
-    return np.linspace(-half, half, count)
+    return _axis(-half, half, count)
 
 
 # ---------------------------------------------------------------------------

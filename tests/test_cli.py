@@ -13,6 +13,7 @@ import triqom.entanglement as ent
 from triqom import (ModelParams, cavity_unconditional, displaced_fock, entanglement_record,
                     evolve_coherent, evolve_fock_superposition, evolve_thermal)
 from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
+from triqom.nonclassical import _axis, default_axis
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,8 +178,9 @@ class TestWrite:
     @pytest.mark.parametrize("n_rows", [2, 1])
     def test_grid_round_trips_bit_exact(self, tmp_path, n_rows):
         values = np.array([self.EDGE, self.EDGE[::-1]][:n_rows])
-        x = np.linspace(-4.0, 4.0, n_rows)
-        y = np.linspace(-1 / 3, 1 / 3, len(self.EDGE))
+        # the axis rule read_wigner applies; one point spans [-4, -4], not symmetric
+        x = _axis(-4.0, 4.0, n_rows)
+        y = _axis(-1 / 3, 1 / 3, len(self.EDGE))
         header = (f"# x: {x[0]:.17g} {x[-1]:.17g} {x.size}\n"
                   f"# y: {y[0]:.17g} {y[-1]:.17g} {y.size}")
         manifest = {"outputs": []}
@@ -303,6 +305,15 @@ class TestRunScenarios:
         assert w_un.min() >= -1e-3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["min_wigner"] < -1e-3
+
+    def test_shipped_cat_grid_reads_back_the_default_axis(self, tmp_path):
+        cfg = Path(__file__).resolve().parent.parent / "scenarios" / "cat_two_lobe.cfg"
+        code, out = _run(tmp_path, cfg.read_text(encoding="utf-8"))
+        assert code == 0
+        x, y, _ = read_wigner(out / "wigner.dat")
+        want = default_axis(3.0)
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
+        assert np.array_equal(y.view(np.int64), want.view(np.int64))
 
     def test_kitten_fidelity_table(self, tmp_path):
         text = ("scenario = kitten-fidelity\nlambda = 1\nalpha = 3\nl = 10\n"

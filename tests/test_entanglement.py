@@ -336,6 +336,24 @@ class TestStackedKernel:
         assert len(_chunks(3, _sample_bytes(20, 40, 40))) == 3
         assert len(_chunks(50, _sample_bytes(2, 4, 4))) == 1
 
+    def test_thermal_sample_holds_two_copies_of_its_largest_reduction(self):
+        import tracemalloc
+
+        from triqom.dynamics import _thermal_purification
+        from triqom.entanglement import _records
+
+        # one 20 x 40 thermal sample: its neg_oc reduction is 800^2 (10.2 MB);
+        # the partial transpose is a view, and its Hermitian part the one copy
+        p = ModelParams(g=0.2, lam=0.25, alpha=2.0, nbar_mech=0.5)
+        tracemalloc.start()
+        try:
+            y, _ = _thermal_purification(np.array([1.3]), p, CompositeSpace(20, 40))
+            _records(y, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * 800 ** 2
+
     def test_non_hermitian_stack_raises(self):
         from triqom.entanglement import _negativities
 

@@ -131,6 +131,21 @@ class TestWigner:
         assert abs(grid.integral() - 1.0) < 1e-3
         assert np.max(np.abs(grid.values)) <= INV_PI + 1e-6
 
+    @pytest.mark.parametrize("count", [8, 81, 201, 202])
+    def test_default_axis_is_exactly_mirrored(self, count):
+        ax = default_axis(3.0, count)
+        ref = np.linspace(-7.0, 7.0, count)
+        assert np.array_equal(ax, -ax[::-1])
+        assert np.all(np.diff(ax) > 0)
+        assert ax.size == count and ax[0] == ref[0] and ax[-1] == ref[-1]
+
+    def test_default_grid_shares_mirrored_radii(self):
+        # the radii |2a|^2 that wigner_at groups exactly: with +-x, +-y and
+        # x <-> y on one radius, a 201^2 grid has at most 101 * 102 / 2
+        ax = default_axis(3.0)
+        pts = (ax[:, None] + 1j * ax[None, :]) / math.sqrt(2.0)
+        assert np.unique(np.abs(2.0 * pts.ravel()) ** 2).size <= 101 * 102 // 2
+
     def test_narrow_grid_misses_mass(self):
         ax = np.linspace(-0.5, 0.5, 21)
         grid = wigner(coherent_state(2.0, 28), ax, ax)
