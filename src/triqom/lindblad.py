@@ -9,6 +9,7 @@ rates carry the 1/ln((1+n_th)/n_th) thermal factor.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -150,51 +151,184 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     return out
 
 
-def _liouvillian(h: sparse.csr_matrix,
-                 dissipators: Sequence[DissipatorSpec]) -> sparse.csr_matrix:
-    """Liouvillian (CSR) of the Hamiltonian `h` (CSR) and the channels, acting
-    on row-major-flattened density matrices.
+def _memory_budget() -> int:
+    """Bytes of physical memory, the ceiling for one open sweep's arrays."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so the
-    whole right-hand side collapses to one sparse matrix-vector product:
-    L = -i (H_eff kron I - I kron conj(H_eff)) + sum_k 2 r_k O_k kron conj(O_k),
-    H_eff = H - i sum_k r_k O_k'O_k.  The memory cost is roughly
-    dim * (total operator nnz), fine for the composite sizes used here.
+
+def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
+                    cells: Sequence[Sequence[DissipatorSpec]]) -> None:
+    """Raise MemoryError if the kept Liouvillian and the propagation vectors
+    of the largest cell would not fit in physical memory.
+
+    The estimate uses only d x d operators: the full Liouvillian has at most
+    2 d nnz(H_eff) + sum_k nnz(O_k)^2 entries, nnz(H_eff) <= nnz(H) +
+    sum_k nnz(O_k'O_k), and nnz(O'O) <= sum_i (nnz of row i of O)^2.  The
+    kept share of the entries is taken to be the kept share of vec(rho).
+    Each entry costs 20 bytes (complex value, int32 column) and is counted
+    twice for assembly's temporaries; the Chebyshev recurrence, the mirror
+    fill and the checks add 16 d^2-sized complex vectors.
     """
     d = h.shape[0]
+    counts = np.bincount(rank).astype(float)
+    kept = 0.5 * (1.0 + (counts @ counts) / float(d) ** 2)
+    nnz = 0.0
+    for diss in cells:
+        ops = [sparse.csr_matrix(ch.operator) for ch in diss]
+        h_eff = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
+        nnz = max(nnz, 2.0 * d * h_eff + sum(float(o.nnz) ** 2 for o in ops))
+    need = 2.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryError(f"the open sweep at dimension {d} needs about "
+                          f"{need / 2.0 ** 30:.3g} GiB, more than the "
+                          f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
+
+
+def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.spmatrix]) -> np.ndarray:
+    """Rank q * n_cav + n of each basis index's (qubit, photon) label (q, n),
+    or all zeros if some operator in `ops` does not shift that rank by one
+    constant.
+
+    Index i = (q, n, k) in row-major order has rank i // n_mech.  A rank
+    difference has the sign of (dq, dn) in lexicographic order, since |dn| <
+    n_cav.  When every operator shifts the rank by one constant, O rho O',
+    O'O rho and [H, rho] keep rank(i) - rank(j) of each entry (i, j), so the
+    Liouvillian has no entry between these sectors (Buča & Prosen, NJP 14
+    (2012) 073007; Albert & Jiang, PRA 89 (2014) 022118).  A channel that
+    breaks the label, such as a + a', leaves one sector: all of rho.
+    """
+    rank = np.arange(cspace.dim) // cspace.n_mech
+    for op in ops:
+        op = sparse.csr_matrix(op)
+        shift = (np.repeat(rank, np.diff(op.indptr)) - rank[op.indices])[op.data != 0]
+        if shift.size and (shift != shift[0]).any():
+            return np.zeros_like(rank)
+    return rank
+
+
+def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix, keep: np.ndarray,
+               pos: np.ndarray) -> sparse.csr_matrix:
+    """Rows and columns `keep` of kron(a, b), columns ascending in each row.
+
+    Row (i, j) of kron(a, b) holds a[i, k] b[j, l] at column (k, l), in
+    ascending order; for sector-preserving a and b every such column is
+    kept, and `pos` (the index into `keep` of each column, -1 where
+    dropped) renumbers it without reordering a row.
+    """
+    a, b = (m if m.has_sorted_indices else m.sorted_indices() for m in (a.tocsr(), b.tocsr()))
+    d = a.shape[0]
+    i, j = np.divmod(keep, d)
+    nb = np.diff(b.indptr)[j]
+    count = np.diff(a.indptr)[i] * nb
+    indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(count, out=indptr[1:])
+    row = np.repeat(np.arange(keep.size), count)
+    step, sub = np.divmod(np.arange(indptr[-1]) - indptr[row], nb[row])
+    ka = a.indptr[i][row] + step
+    kb = b.indptr[j][row] + sub
+    cols = pos[a.indices[ka] * d + b.indices[kb]]
+    if cols.size and cols.min() < 0:  # ruled out by _sector_rank; checked, not assumed
+        raise AssertionError("an operator couples kept and dropped sectors")
+    return sparse.csr_matrix((a.data[ka] * b.data[kb], cols, indptr),
+                             shape=(keep.size, keep.size))
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """What every cell of an open sweep shares: the Hamiltonian, its Bohr
+    spread, the sector ranks and the commutator on the kept entries.
+
+    The kept entries (i, j) of vec(rho) are those with rank(i) >= rank(j);
+    each dropped entry is the conjugate of its kept mirror (j, i), because
+    rho stays Hermitian.
+    """
+
+    h: sparse.csr_matrix
+    spread: float
+    rank: np.ndarray
+    keep: np.ndarray  # ascending row-major indices i * d + j of the kept entries
+    pos: np.ndarray  # index into `keep` of each of the d^2 entries, -1 where dropped
+    commutator: sparse.csr_matrix  # -i(H kron I - I kron conj(H)), kept rows and columns
+
+    @classmethod
+    def build(cls, params: ModelParams, cspace: CompositeSpace,
+              cells: Sequence[Sequence[DissipatorSpec]]) -> "_Frame":
+        """The frame for `params`' Hamiltonian and the channel tables `cells`.
+
+        Raises MemoryError before any d^2-sized allocation if the largest
+        cell would not fit in physical memory.
+        """
+        h = hamiltonian(params, cspace, as_sparse=True)
+        rank = _sector_rank(cspace, [h, *(ch.operator for diss in cells for ch in diss)])
+        _require_memory(h, rank, cells)
+        energies = np.linalg.eigvalsh(h.toarray())
+        d = cspace.dim
+        keep = np.flatnonzero(rank[:, None] >= rank[None, :])
+        pos = np.full(d * d, -1, dtype=keep.dtype)
+        pos[keep] = np.arange(keep.size)
+        eye = sparse.identity(d, format="csr", dtype=complex)
+        comm = -1j * (_kept_kron(h, eye, keep, pos) - _kept_kron(eye, h.conj(), keep, pos))
+        return cls(h, float(energies[-1] - energies[0]), rank, keep, pos, comm)
+
+    def unfold(self, v: np.ndarray) -> np.ndarray:
+        """The d x d matrix of the kept entries `v`, each dropped entry filled
+        as the conjugate of its mirror."""
+        d = self.h.shape[0]
+        flat = np.zeros(d * d, dtype=complex)
+        flat[self.keep] = v
+        mat = flat.reshape(d, d)
+        return np.where(self.rank[:, None] >= self.rank[None, :], mat, mat.conj().T)
+
+
+def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
+                 ) -> tuple[sparse.csr_matrix, float]:
+    """Kept rows and columns of the Liouvillian, and the mean mu of the real
+    part of its whole diagonal.
+
+    With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
+    L = -i (H_eff kron I - I kron conj(H_eff)) + sum_k 2 r_k O_k kron conj(O_k),
+    H_eff = H - i G, G = sum_k r_k O_k'O_k.  The frame holds the commutator
+    with H; each cell adds -(G kron I + I kron conj(G)) and the jump terms.
+    Re diag L at (i, j) is -(G_ii + G_jj) + sum_k 2 r_k Re(O_k,ii conj(O_k,jj)),
+    so its mean over all d^2 entries is -2 mean(G_ii) + sum_k 2 r_k
+    |mean(O_k,ii)|^2.
+    """
+    if not dissipators:
+        return frame.commutator, 0.0
+    d = frame.h.shape[0]
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
-    jump = sparse.csr_matrix((d * d, d * d), dtype=complex)
+    jump = None
+    mu = 0.0
     for ch in dissipators:
-        o = ch.operator
+        o = sparse.csr_matrix(ch.operator)
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
-        jump = jump + (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
-    h_eff = h - 1j * gain
-    lio = -1j * (sparse.kron(h_eff, eye, format="csr")
-                 - sparse.kron(eye, h_eff.conj(), format="csr")) + jump
-    lio.sort_indices()
-    return lio
+        term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), frame.keep, frame.pos)
+        jump = term if jump is None else jump + term
+        mu += 2.0 * ch.rate * abs(o.diagonal().mean()) ** 2
+    lio = frame.commutator - (_kept_kron(gain, eye, frame.keep, frame.pos)
+                                 + _kept_kron(eye, gain.conj(), frame.keep, frame.pos)) + jump
+    return lio, mu - 2.0 * float(gain.diagonal().real.mean())
 
 
-def _spectral_radius(h: sparse.csr_matrix,
-                     dissipators: Sequence[DissipatorSpec]) -> float:
-    """Half-width R of the strip that holds the spectrum of the Liouvillian.
+def _dissipative_bound(dissipators: Sequence[DissipatorSpec]) -> float:
+    """Bound on how far dissipation widens the Liouvillian's spectrum.
 
     The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
     i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
     dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
     conj(O_k), G = sum_k r_k O_k'O_k, adds at most ||D||_1 <= sum_k 2 r_k
     ||O_k||_1 (||O_k||_inf + ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1
-    and ||O'||_1 = ||O||_inf; the bound keeps R > 0 when S = 0.  Everything
-    is measured on d x d operators.
+    and ||O'||_1 = ||O||_inf; the radius S plus this bound stays > 0 when
+    S = 0.  Everything is measured on d x d operators.
     """
-    energies = np.linalg.eigvalsh(h.toarray())
     bound = 0.0
     for ch in dissipators:
         mag = abs(ch.operator)
         col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
         bound += 2.0 * ch.rate * col * (row + col)
-    return float(energies[-1] - energies[0] + bound)
+    return bound
 
 
 def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
@@ -267,32 +401,45 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     expansion of that action (`config.dt` plays no part).  Its cost is set by
     the Bohr spread of the truncated H (plus a bound on the dissipative part
     of L), not by the norm of L: about tau + O(tau^(1/3)) sparse products
-    for tau = (t_k - t_{k-1}) * radius.  Each propagated sample is
-    symmetrized once and checked for trace drift and positivity.  Sample
-    times must be nonnegative and strictly increasing.
+    for tau = (t_k - t_{k-1}) * radius.
+
+    Only half of rho is propagated.  H and every channel shift the rank of
+    the (qubit, photon) label (q, n) by one constant, so L maps each sector
+    rank(i) - rank(j) of the entries (i, j) to itself, and the sectors below
+    zero are the conjugates of their mirrors.  `integrate` takes the
+    Hermitian part of `rho0` once, propagates its entries with rank(i) >=
+    rank(j) (4,992 of 9,216 at 6 x 8) and fills each other entry (i, j) as
+    conj(rho[j, i]).  A channel that breaks the label leaves one sector, and
+    all of rho is propagated.  Each propagated sample is then symmetrized
+    once and checked for trace drift and positivity; a sample at t = 0 is
+    `rho0` itself.  Sample times must be nonnegative and strictly
+    increasing.
     """
+    cspace = CompositeSpace.of(rho0.space)
+    if dissipators is None:
+        dissipators = build_dissipators(params, cspace)
+    return _evolve(_Frame.build(params, cspace, [dissipators]), rho0, times, dissipators)
+
+
+def _evolve(frame: _Frame, rho0: DensityMatrix, times: Iterable[float],
+            dissipators: Sequence[DissipatorSpec]) -> Trajectory:
+    """`integrate` on a prepared frame: the samples of rho0 at `times`."""
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one sample time")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    cspace = CompositeSpace.of(rho0.space)
-    if dissipators is None:
-        dissipators = build_dissipators(params, cspace)
-    h = hamiltonian(params, cspace, as_sparse=True)
-    lio = _liouvillian(h, dissipators)
-    mu = float(lio.diagonal().real.mean())
-    radius = _spectral_radius(h, dissipators)
-
-    d = rho0.space.dim
+    lio, mu = _liouvillian(frame, dissipators)
+    radius = frame.spread + _dissipative_bound(dissipators)
     mat = rho0.matrix
+    kept = (0.5 * (mat + mat.conj().T)).reshape(-1)[frame.keep]
     t_now = 0.0
     samples = []
     for target in times:
         if target > t_now:
-            mat = _chebyshev_action(lio, mu, radius, target - t_now,
-                                    mat.reshape(-1)).reshape(d, d)
+            mat = frame.unfold(_chebyshev_action(lio, mu, radius, target - t_now, kept))
             mat = 0.5 * (mat + mat.conj().T)
+            kept = mat.reshape(-1)[frame.keep]
             t_now = target
         tr = np.trace(mat).real
         if abs(tr - 1.0) > _TRACE_TOL:
@@ -327,18 +474,24 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
 
     gamma_phi values are the total qubit dephasing rates (the dressed rate is
     pinned, not re-derived from a bare rate).  Cells are independent, all
-    starting from rho0; rows come out with Gamma as the outer loop.
+    starting from rho0; rows come out with Gamma as the outer loop.  Each
+    cell is `integrate` over one period, but H, its Bohr spread, the sector
+    map and the commutator are built once per sweep, so a cell builds only
+    its own channel terms.  The memory check covers the largest cell before
+    anything d^2-sized is built: above physical memory it raises MemoryError.
     """
-    rows: list[tuple[float, float, float]] = []
     cspace = CompositeSpace.of(rho0.space)
-    for big_gamma in Gamma_values:
-        for gphi in gamma_phi_values:
-            p = params.with_rates(Gamma=float(big_gamma))
-            diss = build_dissipators(p, cspace, dephasing_rate=float(gphi))
-            traj = integrate(rho0, p, [t_cycle], config=config, dissipators=diss)
-            rho_qc = partial_trace(traj.states[-1], ("qubit", "cavity"))
-            neg = negativity(rho_qc, ("qubit",))
-            rows.append((float(big_gamma), float(gphi), neg))
-            if progress is not None:
-                progress(float(big_gamma), float(gphi), neg)
+    cells = [(float(big_gamma), float(gphi),
+              build_dissipators(params.with_rates(Gamma=float(big_gamma)), cspace,
+                                dephasing_rate=float(gphi)))
+             for big_gamma in Gamma_values for gphi in gamma_phi_values]
+    frame = _Frame.build(params, cspace, [diss for _, _, diss in cells])
+    rows: list[tuple[float, float, float]] = []
+    for big_gamma, gphi, diss in cells:
+        traj = _evolve(frame, rho0, [t_cycle], diss)
+        rho_qc = partial_trace(traj.states[-1], ("qubit", "cavity"))
+        neg = negativity(rho_qc, ("qubit",))
+        rows.append((big_gamma, gphi, neg))
+        if progress is not None:
+            progress(big_gamma, gphi, neg)
     return rows

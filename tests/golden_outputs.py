@@ -1,6 +1,7 @@
 """Golden fingerprints of the quick shipped scenarios' outputs.
 
-    python tests/golden_outputs.py
+    python tests/golden_outputs.py            # regenerate the file
+    python tests/golden_outputs.py --check    # compare only, write nothing
 
 runs scenario configs through the CLI and writes `tests/golden_outputs.json`
 in two sections:
@@ -23,10 +24,12 @@ the suite to the same count, so `same_build` compares the build without it.
 
 `TestShippedScenarios::test_quick_config_runs` compares its outputs with the
 `configs` section.  No test reads the `slow` one: rerun the script and
-`git diff` the file.  A change that moves these numbers on purpose
+`git diff` the file, or run the script with `--check`: it recomputes every
+section, prints the `deltas` of every entry whose digests moved, exits 1 if
+any did, and writes nothing.  A change that moves these numbers on purpose
 regenerates the file with this script and states which files moved, by how
-much and why.  Before it overwrites the file, the script prints the `deltas`
-of every entry whose digests moved.
+much and why.  Before it overwrites the file, the script prints the same
+`deltas`.
 """
 import hashlib
 import json
@@ -147,19 +150,28 @@ def deltas(want: dict, got: dict, rtol: float = 0.0) -> list[str]:
     return lines
 
 
-def report_moved(old: dict, sections: dict) -> None:
-    """Print `deltas(old, new)` for each entry whose file digests moved."""
+def report_moved(old: dict, sections: dict) -> int:
+    """Print `deltas(old, new)` for each entry whose file digests moved, or
+    that only one side has, and return the number of such entries."""
+    moved = 0
     for section, entries in sections.items():
-        for name, got in entries.items():
-            want = old.get(section, {}).get(name, {})
+        before = old.get(section, {})
+        for name in [*entries, *(n for n in before if n not in entries)]:
+            want, got = before.get(name, {}), entries.get(name, {})
             if ({f: v["sha256"] for f, v in want.items()}
                     != {f: v["sha256"] for f, v in got.items()}):
+                moved += 1
                 print(f"{section} / {name}: digests moved")
                 for line in deltas(want, got):
                     print(f"  {line}")
+    return moved
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: python tests/golden_outputs.py [--check]", file=sys.stderr)
+        return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.workloads import setup
     from triqom.cli import main as cli
@@ -178,8 +190,11 @@ def main() -> int:
                 print(f"{name}: exit {code}", file=sys.stderr)
                 return 1
             sections[section][name] = fingerprint(out)
-    report_moved(json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {},
-                 sections)
+    moved = report_moved(
+        json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}, sections)
+    if check:
+        print(f"{moved} entries moved" if moved else "no digest moved")
+        return 1 if moved else 0
     golden = {"build": {**build(), "blas_threads": BLAS_THREADS}, **sections}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
@@ -187,4 +202,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

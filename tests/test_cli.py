@@ -587,5 +587,19 @@ class TestExitCodes:
         assert code == 1
         assert "error: problem too large for memory" in capsys.readouterr().err
 
+    def test_open_sweep_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
+                                                               monkeypatch):
+        text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
+                "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
+        # the estimate for this 2 x 3 sweep is about 110 kB
+        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: 1024)
+        code, out = _run(tmp_path, text)
+        assert code == 1
+        assert "error: problem too large for memory" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        monkeypatch.undo()
+        code, out = _run(tmp_path, text)
+        assert code == 0 and (out / "sweep.csv").exists()
+
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1

@@ -30,7 +30,7 @@ from scipy import sparse
 
 from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
-from triqom.lindblad import DissipatorSpec, _liouvillian
+from triqom.lindblad import DissipatorSpec, _Frame, _liouvillian, _sector_rank
 
 from conftest import TWO_PI, random_density
 
@@ -53,14 +53,30 @@ def _dense_liouvillian(p, cs, diss):
     return lio
 
 
-def _assert_matches_dense_exponential(p, cs):
+def _sparse_liouvillian(h, diss):
+    # L = -i (H_eff x I - I x conj(H_eff)) + sum_k 2 r_k O_k x conj(O_k) on all
+    # d^2 entries, H_eff = H - i sum_k r_k O_k'O_k
+    d = h.shape[0]
+    eye = sparse.identity(d, format="csr", dtype=complex)
+    gain = sparse.csr_matrix((d, d), dtype=complex)
+    jump = sparse.csr_matrix((d * d, d * d), dtype=complex)
+    for ch in diss:
+        o = sparse.csr_matrix(ch.operator)
+        gain = gain + ch.rate * (o.conj().T @ o)
+        jump = jump + (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
+    h_eff = h - 1j * gain
+    return (-1j * (sparse.kron(h_eff, eye) - sparse.kron(eye, h_eff.conj())) + jump).tocsr()
+
+
+def _assert_matches_dense_exponential(p, cs, diss=None):
     from scipy.linalg import expm
-    diss = build_dissipators(p, cs)
+    if diss is None:
+        diss = build_dissipators(p, cs)
     d = cs.dim
     lio = _dense_liouvillian(p, cs, diss)
     rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
     times = [0.0, 0.3, TWO_PI, 20.0]
-    traj = integrate(rho0, p, times)
+    traj = integrate(rho0, p, times, dissipators=diss)
     assert np.array_equal(traj.states[0].matrix, rho0.matrix)
     for t, state in zip(times, traj.states):
         want = (expm(t * lio) @ rho0.matrix.reshape(-1)).reshape(d, d)
@@ -227,20 +243,55 @@ class TestRhs:
         assert abs(got - math.exp(-0.05)) < 1e-6
 
 
+def _caller_csc(cs):
+    # a real operator in CSC format, built the way a caller would: the cavity
+    # quadrature a + a', which moves the photon number by +1 and -1
+    x_cav = embed(destroy(cs.n_cav) + destroy(cs.n_cav).T, cs, "cavity").real
+    return [DissipatorSpec("cavity_x", 0.05, sparse.csc_matrix(x_cav))]
+
+
 class TestLiouvillian:
     @pytest.mark.parametrize("channels", ["none", "all_seven", "caller_csc"])
     def test_matches_rhs_entry_by_entry(self, channels):
         cs = CompositeSpace(2, 3)
-        # a real operator in CSC format, built the way a caller would
-        x_cav = embed(destroy(2) + destroy(2).T, cs, "cavity").real
         diss = {
             "none": [],
             "all_seven": build_dissipators(ALL_RATES, cs),
-            "caller_csc": [DissipatorSpec("cavity_x", 0.05, sparse.csc_matrix(x_cav))],
+            "caller_csc": _caller_csc(cs),
         }[channels]
-        got = _liouvillian(hamiltonian(ALL_RATES, cs, as_sparse=True), diss)
+        frame = _Frame.build(ALL_RATES, cs, [diss])
+        got, mu = _liouvillian(frame, diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
-        assert np.max(np.abs(got.toarray() - want)) <= 1e-14
+        # the label-breaking channel leaves one sector: every entry is kept
+        assert (frame.keep.size == cs.dim ** 2) == (channels == "caller_csc")
+        assert got.has_sorted_indices
+        keep = np.ix_(frame.keep, frame.keep)
+        assert np.max(np.abs(got.toarray() - want[keep])) <= 1e-14
+        assert abs(mu - want.diagonal().real.mean()) <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(2, 3), (6, 8)])
+    def test_no_entry_between_kept_and_dropped_rows(self, dims):
+        n_cav, n_mech = dims
+        cs = CompositeSpace(n_cav, n_mech)
+        d = cs.dim
+        diss = build_dissipators(ALL_RATES, cs)
+        h = hamiltonian(ALL_RATES, cs, as_sparse=True)
+        full = _sparse_liouvillian(h, diss)
+        if dims == (2, 3):
+            assert np.max(np.abs(full.toarray() - _dense_liouvillian(ALL_RATES, cs, diss))) <= 1e-14
+        rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
+        kept = (rank[:, None] >= rank[None, :]).reshape(-1)
+        assert kept.sum() == (d * d + 2 * n_cav * n_mech ** 2) // 2
+        if dims == (6, 8):
+            assert kept.sum() == 4992 and d * d == 9216
+        assert abs(full[kept][:, ~kept]).sum() == 0.0
+        assert abs(full[~kept][:, kept]).sum() == 0.0
+        # the assembled kept rows are that block of L, entry for entry
+        frame = _Frame.build(ALL_RATES, cs, [diss])
+        got, mu = _liouvillian(frame, diss)
+        assert np.array_equal(frame.keep, np.flatnonzero(kept))
+        assert abs(got - full[kept][:, kept]).max() <= 1e-15
+        assert abs(mu - full.diagonal().real.mean()) <= 1e-15
 
 
 class TestIntegrate:
@@ -320,6 +371,28 @@ class TestIntegrate:
         else:
             assert spread == 0.0 and (norm1 > 0.0) == (case == "zero_spread")
         _assert_matches_dense_exponential(p, cs)
+
+    def test_label_breaking_channel_matches_dense_exponential(self):
+        # one self-mirrored sector: all of rho goes through the same propagator
+        cs = CompositeSpace(2, 3)
+        diss = _caller_csc(cs)
+        assert not _sector_rank(cs, [diss[0].operator]).any()
+        _assert_matches_dense_exponential(ALL_RATES, cs, diss)
+
+    def test_start_enters_as_its_hermitian_part(self):
+        p = ModelParams(g=0.2, lam=0.25, alpha=0.5, kappa=0.01, gamma_m=1e-4,
+                        Gamma=1e-3, Gamma_phi=1e-2, n_th=0.1)
+        cs = CompositeSpace(6, 8)
+        m = sweep_initial_state(p, cs).matrix
+        rng = np.random.default_rng(5)
+        bent = m + 1e-9 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        herm = 0.5 * (bent + bent.conj().T)
+        assert np.abs(bent - bent.conj().T).max() > 1e-10
+        times = [1.0, TWO_PI]
+        got = integrate(DensityMatrix(cs.space, bent), p, times)
+        want = integrate(DensityMatrix(cs.space, herm), p, times)
+        for a, b in zip(got.states, want.states):
+            assert np.abs(a.matrix - b.matrix).max() <= 1e-15
 
     def test_positivity_violation_aborts(self):
         p = ModelParams(g=0.1, lam=0.2)
