@@ -33,6 +33,7 @@ from .core import (
 from .dynamics import (_branch_state, _coherent_weights, _fock_weights,
                        _thermal_purification)
 from .entanglement import _chunks, _records, _sample_bytes
+from . import lindblad
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     _axis,
@@ -250,15 +251,27 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
 def _series(cfg: ScenarioConfig, cspace: CompositeSpace):
     """Chunks (times, (S, K, 2 n_cav, n_mech) amplitude stack, discarded
     weights) of a closed family's series on the config's time grid: K = 1 for
-    a pure family, and the n_mech rows of its purification for the thermal one."""
+    a pure family, and the n_mech rows of its purification for the thermal one.
+
+    Raises MemoryError before building anything if three times what one
+    sample takes in `_records` (`_sample_bytes`) would not fit in physical
+    memory: a pair reduction, its Hermitian part and LAPACK's working copy."""
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    if cfg.scenario == "thermal-entanglement":
-        k, build = cspace.n_mech, _thermal_purification
+    thermal = cfg.scenario == "thermal-entanglement"
+    item = _sample_bytes(cspace.n_cav, cspace.n_mech, cspace.n_mech if thermal else 1)
+    budget = lindblad._memory_budget()
+    if 3 * item > budget:
+        raise MemoryError(f"one sample of the {cfg.scenario} series at n_cav = "
+                          f"{cspace.n_cav}, n_mech = {cspace.n_mech} needs about "
+                          f"{3 * item / 2.0 ** 30:.3g} GiB, more than the "
+                          f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
+    if thermal:
+        build = _thermal_purification
     else:
         w = (_fock_weights if cfg.scenario == "fock-entanglement"
              else _coherent_weights)(cfg.params, cspace)
-        k, build = 1, lambda *a: _branch_state(w, *a)
-    for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
+        build = lambda *a: _branch_state(w, *a)
+    for c in _chunks(ts.size, item):
         yield ts[c], *build(ts[c], cfg.params, cspace)
 
 

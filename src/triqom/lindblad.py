@@ -152,7 +152,8 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
 
 
 def _memory_budget() -> int:
-    """Bytes of physical memory, the ceiling for one open sweep's arrays."""
+    """Bytes of physical memory, the ceiling for one open sweep's arrays and
+    for one sample of a closed series (`cli._series`)."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -161,13 +162,19 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     """Raise MemoryError if the kept Liouvillian and the propagation vectors
     of the largest cell would not fit in physical memory.
 
-    The estimate uses only d x d operators: the full Liouvillian has at most
-    2 d nnz(H_eff) + sum_k nnz(O_k)^2 entries, nnz(H_eff) <= nnz(H) +
-    sum_k nnz(O_k'O_k), and nnz(O'O) <= sum_i (nnz of row i of O)^2.  The
-    kept share of the entries is taken to be the kept share of vec(rho).
-    Each entry costs 20 bytes (complex value, int32 column) and is counted
-    twice for assembly's temporaries; the Chebyshev recurrence, the mirror
-    fill and the checks add 16 d^2-sized complex vectors.
+    The estimate uses only d x d operators.  With A = -iH - G, `_liouvillian`
+    gathers E <= 2 d nnz(A) + sum_k nnz(O_k)^2 entries of the full
+    Liouvillian, nnz(A) <= nnz(H) + sum_k nnz(O_k'O_k) and nnz(O'O) <=
+    sum_i (nnz of row i of O)^2; the kept share of the entries is taken to be
+    the kept share of vec(rho).  Each entry costs 20 bytes (complex value,
+    int32 column) and is counted three times: a sum holds at most 2E entries
+    (everything gathered and the sum), and a gather of n <= E/2 entries holds
+    those gathered before it (<= E - n) and about 5 x 20 bytes of temporaries
+    per entry of its own, E + 4n <= 3E.  Traced, the assembly peaks at
+    1.8-1.9 x 20E bytes in a dressed cell and 2.8-3.3 x 20E in a lossless one
+    at 6 x 8 and 14 x 16, a gather's d^2-sized index arrays included.  Those,
+    the Chebyshev recurrence, the mirror fill and the checks are counted as
+    16 d^2-sized complex vectors.
     """
     d = h.shape[0]
     counts = np.bincount(rank).astype(float)
@@ -175,9 +182,9 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     nnz = 0.0
     for diss in cells:
         ops = [sparse.csr_matrix(ch.operator) for ch in diss]
-        h_eff = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
-        nnz = max(nnz, 2.0 * d * h_eff + sum(float(o.nnz) ** 2 for o in ops))
-    need = 2.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
+        gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
+        nnz = max(nnz, 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops))
+    need = 3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
     budget = _memory_budget()
     if need > budget:
         raise MemoryError(f"the open sweep at dimension {d} needs about "
@@ -237,11 +244,12 @@ def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix, keep: np.ndarray,
 @dataclass(frozen=True)
 class _Frame:
     """What every cell of an open sweep shares: the Hamiltonian, its Bohr
-    spread, the sector ranks and the commutator on the kept entries.
+    spread and the sector ranks with the kept entries they select.
 
     The kept entries (i, j) of vec(rho) are those with rank(i) >= rank(j);
     each dropped entry is the conjugate of its kept mirror (j, i), because
-    rho stays Hermitian.
+    rho stays Hermitian.  Nothing d^2-sized but `keep` and `pos` is held:
+    each cell assembles its whole Liouvillian (`_liouvillian`).
     """
 
     h: sparse.csr_matrix
@@ -249,7 +257,6 @@ class _Frame:
     rank: np.ndarray
     keep: np.ndarray  # ascending row-major indices i * d + j of the kept entries
     pos: np.ndarray  # index into `keep` of each of the d^2 entries, -1 where dropped
-    commutator: sparse.csr_matrix  # -i(H kron I - I kron conj(H)), kept rows and columns
 
     @classmethod
     def build(cls, params: ModelParams, cspace: CompositeSpace,
@@ -267,9 +274,7 @@ class _Frame:
         keep = np.flatnonzero(rank[:, None] >= rank[None, :])
         pos = np.full(d * d, -1, dtype=keep.dtype)
         pos[keep] = np.arange(keep.size)
-        eye = sparse.identity(d, format="csr", dtype=complex)
-        comm = -1j * (_kept_kron(h, eye, keep, pos) - _kept_kron(eye, h.conj(), keep, pos))
-        return cls(h, float(energies[-1] - energies[0]), rank, keep, pos, comm)
+        return cls(h, float(energies[-1] - energies[0]), rank, keep, pos)
 
     def unfold(self, v: np.ndarray) -> np.ndarray:
         """The d x d matrix of the kept entries `v`, each dropped entry filled
@@ -287,15 +292,13 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     part of its whole diagonal.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
-    L = -i (H_eff kron I - I kron conj(H_eff)) + sum_k 2 r_k O_k kron conj(O_k),
-    H_eff = H - i G, G = sum_k r_k O_k'O_k.  The frame holds the commutator
-    with H; each cell adds -(G kron I + I kron conj(G)) and the jump terms.
-    Re diag L at (i, j) is -(G_ii + G_jj) + sum_k 2 r_k Re(O_k,ii conj(O_k,jj)),
-    so its mean over all d^2 entries is -2 mean(G_ii) + sum_k 2 r_k
-    |mean(O_k,ii)|^2.
+    L = A kron I + I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k), with
+    A = -i H - G and G = sum_k r_k O_k'O_k (zero in a lossless cell): one
+    `_kept_kron` gather per channel and two for A, and nothing d^2-sized
+    kept between cells.  Re diag L at (i, j) is -(G_ii + G_jj) + sum_k 2 r_k
+    Re(O_k,ii conj(O_k,jj)), so its mean over all d^2 entries is
+    -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
     """
-    if not dissipators:
-        return frame.commutator, 0.0
     d = frame.h.shape[0]
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
@@ -307,9 +310,10 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
         term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), frame.keep, frame.pos)
         jump = term if jump is None else jump + term
         mu += 2.0 * ch.rate * abs(o.diagonal().mean()) ** 2
-    lio = frame.commutator - (_kept_kron(gain, eye, frame.keep, frame.pos)
-                                 + _kept_kron(eye, gain.conj(), frame.keep, frame.pos)) + jump
-    return lio, mu - 2.0 * float(gain.diagonal().real.mean())
+    gen = -1j * frame.h - gain
+    lio = (_kept_kron(gen, eye, frame.keep, frame.pos)
+           + _kept_kron(eye, gen.conj(), frame.keep, frame.pos))
+    return (lio if jump is None else lio + jump), mu - 2.0 * float(gain.diagonal().real.mean())
 
 
 def _dissipative_bound(dissipators: Sequence[DissipatorSpec]) -> float:
@@ -475,9 +479,9 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
     gamma_phi values are the total qubit dephasing rates (the dressed rate is
     pinned, not re-derived from a bare rate).  Cells are independent, all
     starting from rho0; rows come out with Gamma as the outer loop.  Each
-    cell is `integrate` over one period, but H, its Bohr spread, the sector
-    map and the commutator are built once per sweep, so a cell builds only
-    its own channel terms.  The memory check covers the largest cell before
+    cell is `integrate` over one period, but H, its Bohr spread and the
+    sector map are built once per sweep, so a cell builds only its own
+    Liouvillian.  The memory check covers the largest cell before
     anything d^2-sized is built: above physical memory it raises MemoryError.
     """
     cspace = CompositeSpace.of(rho0.space)

@@ -1,7 +1,10 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -591,7 +594,7 @@ class TestExitCodes:
                                                                monkeypatch):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
-        # the estimate for this 2 x 3 sweep is about 110 kB
+        # the estimate for this 2 x 3 sweep is about 65 kB
         monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: 1024)
         code, out = _run(tmp_path, text)
         assert code == 1
@@ -601,5 +604,39 @@ class TestExitCodes:
         code, out = _run(tmp_path, text)
         assert code == 0 and (out / "sweep.csv").exists()
 
+    def test_closed_series_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 0.05\n"
+                "n_cav = 2\nn_mech = 3\nsamples = 2\n")
+        # three copies of one 2 x 3 thermal sample take 3,888 bytes
+        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: 1024)
+        code, out = _run(tmp_path, text)
+        assert code == 1
+        assert "error: problem too large for memory" in capsys.readouterr().err
+        assert not (out / "entanglement.csv").exists()
+        monkeypatch.undo()
+        code, out = _run(tmp_path, text)
+        assert code == 0 and (out / "entanglement.csv").exists()
+
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+
+def test_scenarios_import_neither_scipy_linalg_module(tmp_path):
+    # scipy.linalg alone adds about 8 MB to a CLI process
+    root = Path(__file__).resolve().parent.parent
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\n"
+                     "beta = 0.05\nn_cav = 2\nn_mech = 3\nkappa = 1e-2\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from triqom.cli import main\n"
+        "for i, cfg in enumerate(sys.argv[1:3]):\n"
+        "    assert main(['run', cfg, '--out', f'{sys.argv[3]}/{i}', '--quiet']) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", script, str(sweep),
+                           str(root / "scenarios" / "fock_base.cfg"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

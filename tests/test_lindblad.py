@@ -30,7 +30,8 @@ from scipy import sparse
 
 from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
-from triqom.lindblad import DissipatorSpec, _Frame, _liouvillian, _sector_rank
+from triqom.lindblad import (DissipatorSpec, _Frame, _liouvillian, _require_memory,
+                             _sector_rank)
 
 from conftest import TWO_PI, random_density
 
@@ -292,6 +293,33 @@ class TestLiouvillian:
         assert np.array_equal(frame.keep, np.flatnonzero(kept))
         assert abs(got - full[kept][:, kept]).max() <= 1e-15
         assert abs(mu - full.diagonal().real.mean()) <= 1e-15
+
+
+class TestMemoryEstimate:
+    def test_estimate_exceeds_the_traced_peak_of_a_dressed_cell(self, monkeypatch):
+        import tracemalloc
+
+        # the open-cell benchmark's dressed cell: 6 x 8, every channel on
+        p = ModelParams(g=0.2, lam=0.25, alpha=1.0, beta=0.5, kappa=1e-2, gamma_m=1e-5,
+                        Gamma=1e-3, n_th=10.0, n_q=10.0)
+        cs = CompositeSpace(6, 8)
+        rho0 = tensor(qubit_state(1.0, 1.0),
+                      coherent_state(1.0, 6, label="cavity", tail_tol=1e-3),
+                      coherent_state(0.5, 8, label="mech", tail_tol=1e-3)).density_matrix()
+        diss = build_dissipators(p, cs, dephasing_rate=1e-2)
+        assert len(diss) == 7
+        tracemalloc.start()
+        try:
+            integrate(rho0, p, [TWO_PI], dissipators=diss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h = hamiltonian(p, cs, as_sparse=True)
+        rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
+        _require_memory(h, rank, [diss])
+        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: peak)
+        with pytest.raises(MemoryError):
+            _require_memory(h, rank, [diss])
 
 
 class TestIntegrate:

@@ -29,7 +29,20 @@ from triqom import (
     thermal_density,
     thermal_dim,
 )
-from triqom.core import SUBSYSTEMS, _cutoff, _displaced_one_tail, destroy, embed
+from scipy import sparse
+
+from triqom.core import (
+    SUBSYSTEMS,
+    _cutoff,
+    _displaced_one_tail,
+    _lift,
+    _operators,
+    destroy,
+    embed,
+    number_op,
+    sigma_minus,
+    sigma_z,
+)
 
 from conftest import (
     TWO_PI,
@@ -379,6 +392,46 @@ def test_embed_round_trip():
     tq = sz.reshape(2, 12, 2, 12)
     recovered_q = np.einsum("iaja->ij", tq) / 12
     assert np.max(np.abs(recovered_q - np.diag([1.0, -1.0]))) < 1e-12
+
+
+def _kron_lift(op, cs, label):
+    # the Kronecker-product lift: I x op x I on (qubit, cavity, mech)
+    factors = [sparse.identity(n, dtype=complex, format="csr") for n in cs.dims]
+    factors[SUBSYSTEMS.index(label)] = sparse.csr_matrix(op, dtype=complex)
+    return sparse.kron(factors[0], sparse.kron(factors[1], factors[2]), format="csr")
+
+
+_NAMED = {
+    "a": (lambda cs: destroy(cs.n_cav), "cavity"),
+    "num_c": (lambda cs: number_op(cs.n_cav), "cavity"),
+    "b": (lambda cs: destroy(cs.n_mech), "mech"),
+    "num_m": (lambda cs: number_op(cs.n_mech), "mech"),
+    "sz": (lambda cs: sigma_z(), "qubit"),
+    "sm": (lambda cs: sigma_minus(), "qubit"),
+}
+_DENSE = {  # off-diagonal operators with nonzero rows on every subsystem
+    "sx": (lambda cs: np.array([[0.0, 1.0], [1.0, 0.0]]), "qubit"),
+    "a+a'": (lambda cs: destroy(cs.n_cav) + destroy(cs.n_cav).T, "cavity"),
+    "b+b'": (lambda cs: destroy(cs.n_mech) + destroy(cs.n_mech).T, "mech"),
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (6, 8), (14, 16)])
+@pytest.mark.parametrize("name", [*_NAMED, *_DENSE])
+def test_lift_is_the_kronecker_product_bit_for_bit(dims, name):
+    cs = CompositeSpace(*dims)
+    if name in _NAMED:
+        make, label = _NAMED[name]
+        got = _operators(cs, name)[0]
+    else:
+        make, label = _DENSE[name]
+        got = _lift(make(cs), cs, label)
+    want = _kron_lift(make(cs), cs, label)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.has_sorted_indices == want.has_sorted_indices
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def test_embed_rejects_operator_of_wrong_size():
