@@ -22,18 +22,14 @@ from . import __version__
 from .core import (
     CompositeSpace,
     ModelParams,
-    coherent_dim,
     coherent_state,
     displaced_fock,
     kitten_dim,
-    mechanics_dim,
     qubit_state,
     tensor,
 )
-from .dynamics import (_branch_state, _coherent_weights, _fock_weights,
-                       _thermal_purification)
-from .entanglement import _chunks, _records, _sample_bytes
-from . import lindblad
+from .dynamics import _family_series, _family_space
+from .entanglement import _records
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     _axis,
@@ -242,44 +238,22 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # scenario implementations
 
+# the closed family of each scenario's initial state (the open sweep's is |beta>)
+_FAMILIES = {"fock-entanglement": "fock", "coherent-entanglement": "coherent",
+             "thermal-entanglement": "thermal", "open-sweep": "coherent"}
+
+
 def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
-    n_cav = cfg.n_cav or (2 if cfg.scenario == "fock-entanglement"
-                          else coherent_dim(cfg.params.alpha))
-    return CompositeSpace(n_cav, cfg.n_mech or mechanics_dim(cfg.params, n_cav))
-
-
-def _series(cfg: ScenarioConfig, cspace: CompositeSpace):
-    """Chunks (times, (S, K, 2 n_cav, n_mech) amplitude stack, discarded
-    weights) of a closed family's series on the config's time grid: K = 1 for
-    a pure family, and the n_mech rows of its purification for the thermal one.
-
-    Raises MemoryError before building anything if three times what one
-    sample takes in `_records` (`_sample_bytes`) would not fit in physical
-    memory: a pair reduction, its Hermitian part and LAPACK's working copy."""
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    thermal = cfg.scenario == "thermal-entanglement"
-    item = _sample_bytes(cspace.n_cav, cspace.n_mech, cspace.n_mech if thermal else 1)
-    budget = lindblad._memory_budget()
-    if 3 * item > budget:
-        raise MemoryError(f"one sample of the {cfg.scenario} series at n_cav = "
-                          f"{cspace.n_cav}, n_mech = {cspace.n_mech} needs about "
-                          f"{3 * item / 2.0 ** 30:.3g} GiB, more than the "
-                          f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
-    if thermal:
-        build = _thermal_purification
-    else:
-        w = (_fock_weights if cfg.scenario == "fock-entanglement"
-             else _coherent_weights)(cfg.params, cspace)
-        build = lambda *a: _branch_state(w, *a)
-    for c in _chunks(ts.size, item):
-        yield ts[c], *build(ts[c], cfg.params, cspace)
+    return _family_space(cfg.params, _FAMILIES[cfg.scenario], cfg.n_cav, cfg.n_mech)
 
 
 def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
     blocks = []
     max_discard = 0.0
-    for times, states, discarded in _series(cfg, cspace):
+    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
+    for times, states, discarded in _family_series(_FAMILIES[cfg.scenario], ts,
+                                                   cfg.params, cspace):
         blocks.append(np.column_stack([times, _records(states, cspace.n_cav)]))
         max_discard = max(max_discard, float(np.max(discarded)))
     rows = np.concatenate(blocks)
@@ -372,8 +346,6 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 
 
-# `_series` looks its state builders up when a scenario runs, so a module
-# attribute patched later (a tracer, a mock) is the one called
 _RUNNERS = {
     "fock-entanglement": _run_entanglement,
     "coherent-entanglement": _run_entanglement,

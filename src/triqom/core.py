@@ -9,6 +9,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -316,6 +317,11 @@ def mechanics_dim(params: ModelParams, n_cav: int) -> int:
         raise ValueError(f"mechanics cutoff {dim} exceeds the ceiling {_MECH_CEILING}; "
                          f"set n_mech explicitly to run at that size")
     return dim
+
+
+def _memory_budget() -> int:
+    """Bytes of physical memory, the bound on an open sweep and on a closed-series sample."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ free rotation exp(-i t b'b).  Everything here evaluates those factors directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     mechanics_dim,
     thermal_density,
 )
+from .entanglement import _chunks, _sample_bytes
 
 __all__ = [
     "eta",
@@ -159,12 +160,6 @@ def _coherent_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray
     return np.tile(coherent_amplitudes(params.alpha, cspace.n_cav) / math.sqrt(2.0), (2, 1))
 
 
-def _evolve_pure(weights, t: float, params: ModelParams, cspace: CompositeSpace) -> PureState:
-    """The one-time call of `_branch_state` from a `_*_weights` function."""
-    amp, discarded = _branch_state(weights(params, cspace), [t], params, cspace)
-    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
-
-
 def evolve_fock_superposition(t: float, params: ModelParams,
                               cspace: CompositeSpace | None = None) -> PureState:
     """Closed-form state for qubit (up+down)/sqrt2, cavity (|0>-|1>)/sqrt2, mech |beta>.
@@ -172,9 +167,9 @@ def evolve_fock_superposition(t: float, params: ModelParams,
     Four branches, one per joint (spin, photon-number) label, each a displaced
     coherent state of the oscillator with its own accumulated phase.
     """
-    if cspace is None:
-        cspace = default_composite_space(params, family="fock")
-    return _evolve_pure(_fock_weights, t, params, cspace)
+    cspace = cspace or default_composite_space(params, family="fock")
+    [(_, amp, discarded)] = _family_series("fock", [t], params, cspace)
+    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
 
 
 def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
@@ -197,9 +192,9 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
 def evolve_coherent(t: float, params: ModelParams,
                     cspace: CompositeSpace | None = None) -> PureState:
     """Closed-form state for qubit (up+down)/sqrt2, cavity |alpha>, mech |beta>."""
-    if cspace is None:
-        cspace = default_composite_space(params, family="coherent")
-    return _evolve_pure(_coherent_weights, t, params, cspace)
+    cspace = cspace or default_composite_space(params, family="coherent")
+    [(_, amp, discarded)] = _family_series("coherent", [t], params, cspace)
+    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
 
 
 def qubit_cavity_at_cycle(l: int, params: ModelParams,
@@ -248,11 +243,25 @@ def evolve_thermal(t: float, params: ModelParams,
     nbar_mech: sum_m p_m |psi_m><psi_m| of the exact truncated propagator
     applied to psi_qc (x) |m>, the contraction of `_thermal_purification`.
     """
-    if cspace is None:
-        cspace = default_composite_space(params, family="thermal")
+    cspace = cspace or default_composite_space(params, family="thermal")
     y, w_total = _thermal_purification([t], params, cspace)
     y = y[0].reshape(cspace.n_mech, -1)
     return DensityMatrix(cspace.space, y.T @ y.conj(), discarded_weight=w_total)
+
+
+def _family_series(family: str, ts, params: ModelParams, cspace: CompositeSpace):
+    """Chunks (times, (S, K, 2 n_cav, n_mech) amplitudes, discarded weights) of a
+    closed family's series at the times `ts`, cut by `_chunks`: K = 1 for a pure
+    family, the n_mech purification rows for the thermal one.  Builders are
+    looked up as the series runs, so a later patch is the one called."""
+    ts = np.asarray(ts, dtype=float)
+    if family == "thermal":
+        build, k = _thermal_purification, cspace.n_mech
+    else:
+        w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace)
+        build, k = (lambda *a: _branch_state(w, *a)), 1
+    for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
+        yield ts[c], *build(ts[c], params, cspace)
 
 
 @dataclass(frozen=True)
@@ -275,10 +284,22 @@ class Trajectory:
         return len(self.times)
 
 
-def default_composite_space(params: ModelParams, family: str = "coherent") -> CompositeSpace:
-    """Truncation defaults: Poisson tail rule for the cavity, worst-case
-    displacement reach (plus any thermal floor) for the mechanics."""
+def _family_space(params: ModelParams, family: str, n_cav: int | None = None,
+                  n_mech: int | None = None) -> CompositeSpace:
+    """A closed family's space, each cutoff not given set by its default: the
+    Poisson tail rule for a coherent cavity (2 levels for `fock`), and the reach
+    of the family's own initial mechanics, |beta> or (`thermal`) undisplaced."""
     if family not in ("fock", "coherent", "thermal"):
         raise ValueError(f"unknown family {family!r}")
-    n_cav = 2 if family == "fock" else coherent_dim(params.alpha)
-    return CompositeSpace(n_cav, mechanics_dim(params, n_cav))
+    if n_cav is None:
+        n_cav = 2 if family == "fock" else coherent_dim(params.alpha)
+    if n_mech is None:
+        start = (replace(params, beta=0.0) if family == "thermal"
+                 else replace(params, nbar_mech=0.0))
+        n_mech = mechanics_dim(start, n_cav)
+    return CompositeSpace(n_cav, n_mech)
+
+
+def default_composite_space(params: ModelParams, family: str = "coherent") -> CompositeSpace:
+    """Truncation defaults of a closed family (see `_family_space`)."""
+    return _family_space(params, family)

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import core
 from .core import (SUBSYSTEMS, CompositeSpace, DensityMatrix, ModelParams, PureState,
                    Space, partial_trace)
 
@@ -192,7 +193,13 @@ _STACK_BYTES = 2 * 2 ** 20
 
 def _chunks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices of `count` samples of `item_bytes` each, with at most
-    _STACK_BYTES per slice and at least one sample."""
+    _STACK_BYTES per slice and at least one sample.  Raises MemoryError if
+    three copies of one sample (a pair reduction, its Hermitian part and
+    LAPACK's working copy) would not fit in physical memory."""
+    budget = core._memory_budget()
+    if 3 * item_bytes > budget:
+        raise MemoryError(f"one sample of the series needs about {3 * item_bytes / 2.0 ** 30:.3g}"
+                          f" GiB, more than the {budget / 2.0 ** 30:.3g} GiB of physical memory")
     step = max(1, _STACK_BYTES // item_bytes)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 

@@ -9,13 +9,13 @@ rates carry the 1/ln((1+n_th)/n_th) thermal factor.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse, special
 
+from . import core
 from .core import (
     CompositeSpace,
     DensityMatrix,
@@ -151,12 +151,6 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     return out
 
 
-def _memory_budget() -> int:
-    """Bytes of physical memory, the ceiling for one open sweep's arrays and
-    for one sample of a closed series (`cli._series`)."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
                     cells: Sequence[Sequence[DissipatorSpec]]) -> None:
     """Raise MemoryError if the kept Liouvillian and the propagation vectors
@@ -185,7 +179,7 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
         gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
         nnz = max(nnz, 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops))
     need = 3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
-    budget = _memory_budget()
+    budget = core._memory_budget()
     if need > budget:
         raise MemoryError(f"the open sweep at dimension {d} needs about "
                           f"{need / 2.0 ** 30:.3g} GiB, more than the "

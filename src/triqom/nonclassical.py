@@ -55,9 +55,8 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_axis, dtype=float)
-        y = np.asarray(self.y_axis, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writeable
+        x, y, v = (np.array(a, dtype=float) for a in (self.x_axis, self.y_axis, self.values))
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("axes must be one-dimensional")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):

@@ -583,7 +583,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 58.2 TiB")
 
-        monkeypatch.setattr("triqom.cli._thermal_purification", refuse)
+        monkeypatch.setattr("triqom.dynamics._thermal_purification", refuse)
         text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\n"
                 "n_cav = 2\nn_mech = 2000000\nsamples = 2\n")
         code, _ = _run(tmp_path, text)
@@ -595,7 +595,7 @@ class TestExitCodes:
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
         # the estimate for this 2 x 3 sweep is about 65 kB
-        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: 1024)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
         code, out = _run(tmp_path, text)
         assert code == 1
         assert "error: problem too large for memory" in capsys.readouterr().err
@@ -609,7 +609,7 @@ class TestExitCodes:
         text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nsamples = 2\n")
         # three copies of one 2 x 3 thermal sample take 3,888 bytes
-        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: 1024)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
         code, out = _run(tmp_path, text)
         assert code == 1
         assert "error: problem too large for memory" in capsys.readouterr().err
@@ -620,6 +620,25 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+
+class TestClosedSpaces:
+    """Default cutoffs follow the family of the scenario's initial state."""
+
+    BASE = "g = 0.2\nlambda = 0.25\nalpha = 2\nbeta = 2\n"
+
+    @pytest.mark.parametrize("family, nbar, size", [
+        ("fock", 10, (2, 40)), ("coherent", 10, (28, 289)), ("thermal", 2, (28, 224))])
+    def test_default_cutoffs_are_the_family_defaults(self, family, nbar, size):
+        cfg = parse_config(f"scenario = {family}-entanglement\nnbar = {nbar}\n" + self.BASE)
+        want = dyn.default_composite_space(cfg.params, family=family)
+        assert _closed_spaces(cfg) == want and want.dims[1:] == size
+
+    def test_open_sweep_default_is_the_coherent_family(self):
+        # the sweep starts its mechanics in |beta>: no thermal floor
+        cfg = parse_config("scenario = open-sweep\nnbar = 10\n" + self.BASE)
+        want = dyn.default_composite_space(cfg.params, family="coherent")
+        assert _closed_spaces(cfg) == want and want.dims[1:] == (28, 289)
 
 
 def test_scenarios_import_neither_scipy_linalg_module(tmp_path):

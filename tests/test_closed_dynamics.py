@@ -384,3 +384,23 @@ def test_default_space_families():
     assert default_composite_space(p, family="coherent").n_cav >= 28
     with pytest.raises(ValueError):
         default_composite_space(p, family="squeezed")
+
+
+def test_thermal_default_reaches_from_the_undisplaced_state():
+    # the thermal state never holds |beta|, so beta does not size its mechanics
+    for nbar in (0.5, 2.0):
+        spaces = [default_composite_space(ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=beta,
+                                                      nbar_mech=nbar), family="thermal")
+                  for beta in (2.0, 0.0)]
+        assert spaces == [CompositeSpace(28, 224)] * 2
+
+
+def test_pure_defaults_take_no_thermal_floor():
+    # fock and coherent start in |beta>, whatever nbar_mech says
+    for family, size in (("coherent", CompositeSpace(28, 289)), ("fock", CompositeSpace(2, 40))):
+        for nbar in (0.0, 10.0):
+            p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0, nbar_mech=nbar)
+            assert default_composite_space(p, family=family) == size
+    # the thermal family keeps its floor: 339 levels at nbar = 10
+    p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0, nbar_mech=10.0)
+    assert default_composite_space(p, family="thermal") == CompositeSpace(28, 339)

@@ -317,7 +317,7 @@ class TestMemoryEstimate:
         h = hamiltonian(p, cs, as_sparse=True)
         rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
         _require_memory(h, rank, [diss])
-        monkeypatch.setattr("triqom.lindblad._memory_budget", lambda: peak)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
         with pytest.raises(MemoryError):
             _require_memory(h, rank, [diss])
 

@@ -164,6 +164,18 @@ class TestWigner:
         with pytest.raises(ValueError):
             WignerGrid(ax[::-1], ax, np.zeros((5, 5)))
 
+    def test_grid_freezes_its_own_axes_not_the_callers(self):
+        ax = default_axis(1.0, 11)
+        values = np.zeros((11, 11))
+        for grid in (wigner(coherent_state(1.0, 12), ax, ax), WignerGrid(ax, ax, values)):
+            assert ax.flags.writeable and values.flags.writeable
+            for arr in (grid.x_axis, grid.y_axis, grid.values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        ax[0] = -9.0  # the caller may still write, and no grid sees it
+        assert grid.x_axis[0] == grid.y_axis[0] == default_axis(1.0, 11)[0]
+
 
 class TestUnconditionalCavity:
     def test_uncoupled_is_coherent_projector(self):
