@@ -4,11 +4,14 @@ oscillator carries.
 
 One stacked record kernel, `_records`, turns a stack of S tripartite states,
 each K amplitude matrices (K = 1 for a pure state, one per thermal level for
-thermal mechanics), into the rows of a time series: a batched SVD compresses
-each mechanics to its rank, samples of equal rank are reduced by one matrix
-product per pair, and each pair's partial transposes are eigensolved in one
-batched `eigvalsh`.  `entanglement_record` of a pure state is its one-sample
-call; a DensityMatrix takes its pair reductions from `partial_trace`.
+thermal mechanics), into the rows of a time series: one batched SVD
+compresses each mechanics to its rank and a second one each cavity, samples
+of equal ranks are reduced by one matrix product per pair, and each pair's
+partial transposes are eigensolved in one batched `eigvalsh`.  At t = 2 pi l
+the cavity marginal has rank 1 or 2, so a thermal 20 x 40 sample's `neg_oc`
+eigensolve shrinks from 800^2 to 80^2 there.  `entanglement_record` of a pure
+state is its one-sample call; a DensityMatrix takes its pair reductions from
+`partial_trace`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import core
-from .core import (SUBSYSTEMS, CompositeSpace, DensityMatrix, ModelParams, PureState,
+from .core import (CompositeSpace, DensityMatrix, ModelParams, PureState,
                    Space, partial_trace)
 
 __all__ = [
@@ -195,7 +198,9 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices of `count` samples of `item_bytes` each, with at most
     _STACK_BYTES per slice and at least one sample.  Raises MemoryError if
     three copies of one sample (a pair reduction, its Hermitian part and
-    LAPACK's working copy) would not fit in physical memory."""
+    LAPACK's working copy) would not fit in physical memory.  The budget is
+    the uncompressed worst case: a compressed cavity shrinks the reduction
+    only at t = 2 pi l, and a generic time needs the full one."""
     budget = core._memory_budget()
     if 3 * item_bytes > budget:
         raise MemoryError(f"one sample of the series needs about {3 * item_bytes / 2.0 ** 30:.3g}"
@@ -206,7 +211,9 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
 
 def _sample_bytes(n_cav: int, n_mech: int, k: int = 1) -> int:
     """Most bytes one sample of K amplitude matrices takes in `_records`: its
-    amplitudes with their SVD factors, or its largest pair reduction at full rank."""
+    amplitudes with their SVD factors, or its largest pair reduction at full
+    rank.  The cavity compression is not counted: at a generic time the cavity
+    keeps all n_cav levels and neg_oc is reduced at (n_cav r)^2."""
     r = min(2 * k * n_cav, n_mech)
     return 16 * max(2 * k * n_cav * n_mech + 2 * k * n_cav * r + r * n_mech,
                     max(2 * n_cav, 2 * r, n_cav * r) ** 2)
@@ -214,9 +221,12 @@ def _sample_bytes(n_cav: int, n_mech: int, k: int = 1) -> int:
 
 def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndarray:
     """(g, 4) rows of neg_qc, neg_qo, neg_oc, intrinsic_qc from the stacked
-    (qc, qo, oc) pair reductions of g states on (qubit, cavity, mech) dims."""
-    space = Space(SUBSYSTEMS, dims)
+    (qc, qo, oc) pair reductions of g states on (qubit, cavity, mech) dims.
+    The oc reduction may hold the cavity compressed to its support (see
+    `_records`): its width over n_mech gives its cavity levels."""
     _, nc, nm = dims
+    spaces = (Space(("qubit", "cavity"), (2, nc)), Space(("qubit", "mech"), (2, nm)),
+              Space(("cavity", "mech"), (reds[2].shape[-1] // nm, nm)))
     g = len(reds[0])
     t_qc = reds[0].reshape(g, 2, nc, 2, nc)
     singles = (np.trace(t_qc, axis1=2, axis2=4), np.trace(t_qc, axis1=1, axis2=3),
@@ -225,10 +235,54 @@ def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndar
     s_q, s_c, s_o = (1.0 - np.array([np.vdot(m, m).real for m in np.ascontiguousarray(x)])
                      for x in singles)
     out = np.empty((g, 4))
-    for j, (red, (keep, side)) in enumerate(zip(reds, _PAIRS)):
-        out[:, j] = _negativities(red, space.keep(keep), side)
+    for j, (red, space, (_, side)) in enumerate(zip(reds, spaces, _PAIRS)):
+        out[:, j] = _negativities(red, space, side)
     out[:, 3] = s_q + s_c - s_o
     return out
+
+
+def _compress(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix M = U S V^dagger of an (S, m, n) stack as U S, and its
+    numerical rank r: the singular values above numpy's matrix_rank cutoff,
+    s_0 max(m, n) eps.  Returns the (S, m, min(m, n)) stack U S and the (S,)
+    ranks; the first r columns of U S differ from M by the isometry V_r on
+    its columns alone, with the dropped weight at most
+    min(m, n) (s_0 max(m, n) eps)^2."""
+    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
+    cut = s[:, :1] * max(mats.shape[1:]) * np.finfo(float).eps
+    u *= s[:, None, :]
+    return u, np.maximum(1, np.count_nonzero(s > cut, axis=1))
+
+
+def _reduce(x: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """Z Z^dagger of a (g, K, ...) amplitude stack x: Z's rows are the axes
+    perm[1:3] of x (the kept pair), its columns the axes perm[3:] (K, then the
+    traced party)."""
+    z = np.transpose(x, perm).reshape(len(x), -1, x.shape[perm[3]] * x.shape[perm[4]])
+    return z @ z.conj().swapaxes(-1, -2)
+
+
+def _reductions(states: np.ndarray, n_cav: int) -> list[tuple[np.ndarray, list, tuple]]:
+    """The (qc, qo, oc) pair reductions of `_records`, one (samples, reductions,
+    (2, n_cav, r)) entry per group of samples of equal (r, r_c).  Returning
+    them frees the compressed amplitudes before any eigensolve."""
+    count, k = states.shape[:2]
+    us, ranks = _compress(states.reshape(count, -1, states.shape[-1]))
+    groups = []
+    for r in np.unique(ranks).tolist():
+        sel = np.flatnonzero(ranks == r)
+        x = us[sel][..., :r].reshape(-1, k, 2, n_cav, r)
+        # the cavity unfolding: rows (K, qubit, mechanics), columns the cavity
+        cav, cav_ranks = _compress(np.swapaxes(x, -1, -2).reshape(sel.size, -1, n_cav))
+        for rc in np.unique(cav_ranks).tolist():
+            sub = np.flatnonzero(cav_ranks == rc)
+            xs = x[sub]
+            # rows (kept pair), columns (K, the traced party): qc, qo, oc
+            reds = [_reduce(xs, (0, 2, 3, 1, 4)), _reduce(xs, (0, 2, 4, 1, 3)),
+                    _reduce(cav[sub][..., :rc].reshape(-1, k, 2, r, rc), (0, 4, 3, 1, 2))
+                    if rc < n_cav else _reduce(xs, (0, 3, 4, 1, 2))]
+            groups.append((sel[sub], reds, (2, n_cav, r)))
+    return groups
 
 
 def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
@@ -236,29 +290,21 @@ def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
     states given as (S, K, 2 n_cav, n_mech) amplitudes y: state i is
     sum_k y_ik y_ik^dagger.
 
-    Each mechanics is first compressed to its numerical rank r: with the
-    (K 2 n_cav, n_mech) matrix M = U S V^dagger and r the singular values above
-    numpy's matrix_rank cutoff, U_r S_r differs from M by the isometry V_r on
-    the mechanics alone, which changes no reported field.  Samples of equal
-    rank are reduced as Z Z^dagger, with Z of shape (2 n_cav, K r) for qc,
-    (2 r, K n_cav) for qo and (n_cav r, 2 K) for oc, and eigensolved as one
-    stack; callers cut a series with `_chunks(S, _sample_bytes(n_cav, n_mech, K))`.
+    `_compress` first compresses each mechanics to its numerical rank r, on
+    the (K 2 n_cav, n_mech) unfolding, then the cavity of the result to its
+    rank r_c, on the (K 2 r, n_cav) unfolding.  Each step differs from the
+    state by an isometry on one party alone, which changes no partial-transpose
+    spectrum and no linear entropy.  Samples of equal (r, r_c) are reduced as
+    Z Z^dagger, with Z of shape (2 n_cav, K r) for qc, (2 r, K n_cav) for qo
+    and (n_cav r, 2 K) for oc, and eigensolved as one stack per pair.  Where
+    r_c < n_cav (at t = 2 pi l, where the cavity marginal has rank 1 or 2, and
+    next to a revival) the oc Z is (r_c r, 2 K) instead; qc, qo and a
+    full-rank cavity's oc are reduced from the mechanics-compressed amplitudes
+    alone.  Callers cut a series with `_chunks(S, _sample_bytes(n_cav, n_mech, K))`.
     """
-    count, k = states.shape[:2]
-    mats = states.reshape(count, -1, states.shape[-1])
-    u, s = np.linalg.svd(mats, full_matrices=False)[:2]
-    cut = s[:, :1] * max(mats.shape[1:]) * np.finfo(float).eps
-    ranks = np.maximum(1, np.count_nonzero(s > cut, axis=1))
-    out = np.empty((count, 4))
-    for r in np.unique(ranks).tolist():
-        sel = np.flatnonzero(ranks == r)
-        x = (u[sel][..., :r] * s[sel][:, None, :r]).reshape(-1, k, 2, n_cav, r)
-        reds = []
-        # rows (kept pair), columns (K, the traced party)
-        for perm in ((0, 2, 3, 1, 4), (0, 2, 4, 1, 3), (0, 3, 4, 1, 2)):  # qc, qo, oc
-            m = np.transpose(x, perm).reshape(sel.size, -1, k * x.shape[perm[4]])
-            reds.append(m @ m.conj().swapaxes(-1, -2))
-        out[sel] = _pair_records(reds, (2, n_cav, r))
+    out = np.empty((len(states), 4))
+    for idx, reds, dims in _reductions(states, n_cav):
+        out[idx] = _pair_records(reds, dims)
     return out
 
 

@@ -25,11 +25,12 @@ the suite to the same count, so `same_build` compares the build without it.
 `TestShippedScenarios::test_quick_config_runs` compares its outputs with the
 `configs` section.  No test reads the `slow` one: rerun the script and
 `git diff` the file, or run the script with `--check`: it recomputes every
-section, prints the `deltas` of every entry whose digests moved, exits 1 if
-any did, and writes nothing.  A change that moves these numbers on purpose
-regenerates the file with this script and states which files moved, by how
-much and why.  Before it overwrites the file, the script prints the same
-`deltas`.
+section, prints the `deltas` of every entry whose digests moved (or one
+line saying that no column statistic moved, when the values moved by less
+than the statistics resolve), exits 1 if any did, and writes nothing.  A
+change that moves these numbers on purpose regenerates the file with this
+script and states which files moved, by how much and why.  Before it
+overwrites the file, the script prints the same `deltas`.
 """
 import hashlib
 import json
@@ -152,7 +153,8 @@ def deltas(want: dict, got: dict, rtol: float = 0.0) -> list[str]:
 
 def report_moved(old: dict, sections: dict) -> int:
     """Print `deltas(old, new)` for each entry whose file digests moved, or
-    that only one side has, and return the number of such entries."""
+    that only one side has, or one line saying that no column statistic
+    moved, and return the number of such entries."""
     moved = 0
     for section, entries in sections.items():
         before = old.get(section, {})
@@ -162,8 +164,12 @@ def report_moved(old: dict, sections: dict) -> int:
                     != {f: v["sha256"] for f, v in got.items()}):
                 moved += 1
                 print(f"{section} / {name}: digests moved")
-                for line in deltas(want, got):
+                lines = deltas(want, got)
+                for line in lines:
                     print(f"  {line}")
+                if not lines:
+                    print("  every column statistic is unchanged: the values moved by less"
+                          " than the statistics resolve")
     return moved
 
 

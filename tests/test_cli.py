@@ -445,12 +445,13 @@ class TestThermalSeries:
     `entanglement_record(evolve_thermal(t), t)` to rounding."""
 
     TEXT = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 1\n"
-            "nbar = 0.5\nn_cav = 6\nn_mech = 16\nt_start = 0.5\nt_end = 5.5\n"
-            "samples = 5\n")
+            "nbar = 0.5\nn_cav = 6\nn_mech = 16\nsamples = 5\n")
 
-    @pytest.mark.parametrize("per_chunk", [None, 2])
-    def test_rows_agree_with_the_density_record(self, tmp_path, monkeypatch, per_chunk):
-        cfg = parse_config(self.TEXT)
+    def _series(self, tmp_path, monkeypatch, grid, per_chunk):
+        """The CLI's rows checked against the density records; returns those
+        records and the oc reduction width of each sample."""
+        text = self.TEXT + grid
+        cfg = parse_config(text)
         cspace = _closed_spaces(cfg)
         want = []
         for t in np.linspace(cfg.t_start, cfg.t_end, cfg.samples):
@@ -460,7 +461,7 @@ class TestThermalSeries:
         # the whole series as one stack, or cut into chunks of two samples
         monkeypatch.setattr(ent, "_STACK_BYTES", (per_chunk or cfg.samples) * ent._sample_bytes(
             cspace.n_cav, cspace.n_mech, cspace.n_mech))
-        calls, stacks = [], []  # density-matrix calls; samples per stacked call
+        calls, stacks, widths = [], [], []  # density-matrix calls; per stacked call
         real_pair_records = ent._pair_records
 
         def spy(name, real):
@@ -471,22 +472,41 @@ class TestThermalSeries:
 
         def stacked(reds, dims):
             stacks.append(len(reds[0]))
+            widths.extend([reds[2].shape[-1]] * len(reds[2]))
             return real_pair_records(reds, dims)
 
         monkeypatch.setattr(ent, "_pair_records", stacked)
         monkeypatch.setattr(dyn, "evolve_thermal", spy("evolve_thermal", dyn.evolve_thermal))
         monkeypatch.setattr(ent, "partial_trace", spy("partial_trace", ent.partial_trace))
-        code, out = _run(tmp_path, self.TEXT)
+        code, out = _run(tmp_path, text)
         assert code == 0
         # no d x d density matrix: the CLI neither evolves nor partially traces one
         assert calls == [] and not hasattr(triqom.cli, "evolve_thermal")
         got = np.loadtxt(out / "entanglement.csv", delimiter=",", skiprows=1)
         assert np.abs(got - want).max() <= 1e-13
-        assert min(want[1:, 1]) > 1e-4 and min(want[:, 3]) > 1e-2  # generic times
         if per_chunk:
             assert max(stacks) <= per_chunk and len(stacks) >= cfg.samples // per_chunk
         else:
             assert max(stacks) > 1
+        return want, sorted(widths)
+
+    @pytest.mark.parametrize("per_chunk", [None, 2])
+    def test_rows_agree_with_the_density_record(self, tmp_path, monkeypatch, per_chunk):
+        want, widths = self._series(tmp_path, monkeypatch, "t_start = 0.5\nt_end = 5.5\n",
+                                    per_chunk)
+        assert min(want[1:, 1]) > 1e-4 and min(want[:, 3]) > 1e-2  # generic times
+        assert widths == [6 * 16] * 5
+
+    @pytest.mark.parametrize("per_chunk", [None, 2])
+    def test_revival_rows_reduce_neg_oc_on_the_cavity_support(self, tmp_path, monkeypatch,
+                                                               per_chunk):
+        # t = 0, pi, ..., 4 pi: the mechanics factors out at 0, 2 pi and 4 pi, where
+        # the cavity marginal has rank 1 (t = 0) or 2, and neg_oc is eigensolved
+        # at 16 and 2 x 16 instead of 6 x 16
+        want, widths = self._series(tmp_path, monkeypatch,
+                                    "t_start = 0\nt_end = 12.566370614359172\n", per_chunk)
+        assert max(want[::2, 2:4].ravel()) < 1e-12 < min(want[1::2, 3])
+        assert widths == [16, 32, 32, 96, 96]
 
 
 class TestProgress:
@@ -580,14 +600,18 @@ class TestExitCodes:
             assert "error: cannot write output" in capsys.readouterr().err
 
     def test_out_of_memory_is_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a series within the memory budget, whose builder fails to allocate
+        calls = []
+
         def refuse(*args, **kwargs):
+            calls.append(args)
             raise MemoryError("Unable to allocate 58.2 TiB")
 
         monkeypatch.setattr("triqom.dynamics._thermal_purification", refuse)
         text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\n"
-                "n_cav = 2\nn_mech = 2000000\nsamples = 2\n")
+                "n_cav = 2\nn_mech = 40\nsamples = 2\n")
         code, _ = _run(tmp_path, text)
-        assert code == 1
+        assert code == 1 and len(calls) == 1
         assert "error: problem too large for memory" in capsys.readouterr().err
 
     def test_open_sweep_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,

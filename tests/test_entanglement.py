@@ -282,8 +282,9 @@ class TestMechanicsCompression:
         rho = evolve_thermal(1.3, p, CompositeSpace(6, 20))
         assert _fields(entanglement_record(rho, 1.3)) == _uncompressed_record(rho, 1.3)
 
-    def _spied_widths(self, monkeypatch, t):
+    def _spied_widths(self, monkeypatch, t, thermal=False):
         import triqom.entanglement as ent
+        from triqom.dynamics import _thermal_purification
 
         widths = {}
         real = ent._negativities
@@ -293,13 +294,19 @@ class TestMechanicsCompression:
             return real(rhos, space, side)
 
         monkeypatch.setattr(ent, "_negativities", spy)
-        p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0)
-        entanglement_record(evolve_coherent(t, p, CompositeSpace(24, 70)), t)
+        if thermal:
+            p = ModelParams(g=0.2, lam=0.25, alpha=2.0, nbar_mech=0.5)
+            y, _ = _thermal_purification(np.array([t]), p, CompositeSpace(20, 40))
+            ent._records(y, 20)
+        else:
+            p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0)
+            entanglement_record(evolve_coherent(t, p, CompositeSpace(24, 70)), t)
         return widths
 
     def test_mechanics_factors_out_at_full_period(self, monkeypatch):
         widths = self._spied_widths(monkeypatch, TWO_PI)
-        assert widths[("cavity", "mech")] == 24
+        # rank-1 mechanics, and a cavity of rank 2 (one state per qubit branch)
+        assert widths[("cavity", "mech")] == 2
         assert widths[("qubit", "mech")] == 2
         assert widths[("qubit", "cavity")] == 48
 
@@ -307,6 +314,45 @@ class TestMechanicsCompression:
         widths = self._spied_widths(monkeypatch, 1.3)
         assert widths[("cavity", "mech")] <= 24 * min(2 * 24, 70)
         assert widths[("qubit", "mech")] <= 2 * min(2 * 24, 70)
+
+    @pytest.mark.parametrize("t, width", [(0.0, 40), (TWO_PI, 80), (2 * TWO_PI, 80),
+                                          (1.3, 800)])
+    def test_thermal_sample_compresses_its_cavity(self, monkeypatch, t, width):
+        # each purification row carries its own Fock level, so the mechanics
+        # keeps all 40; the cavity collapses to rank 1 at t = 0 and 2 at 2 pi l
+        widths = self._spied_widths(monkeypatch, t, thermal=True)
+        assert widths[("cavity", "mech")] == width
+        assert widths[("qubit", "mech")] == 80
+
+    def test_compressed_cavity_matches_uncompressed(self, monkeypatch):
+        import triqom.entanglement as ent
+
+        # S = 3 samples of K = 3 rows whose cavity lies in a random 3-dimensional
+        # subspace of n_cav = 8 levels; the mechanics (5 levels) stays full rank
+        rng = np.random.default_rng(11)
+        n_cav, n_mech = 8, 5
+        shape = (3, 3, 2, 3, n_mech)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        amps /= np.linalg.norm(amps.reshape(3, -1), axis=1)[:, None, None, None, None]
+        w = random_unitary(n_cav, rng)[:, :3]
+        y = np.einsum("skqcm,Cc->skqCm", amps, w).reshape(3, 3, 2 * n_cav, n_mech)
+        widths = []
+        real = ent._negativities
+
+        def spy(rhos, space, side):
+            widths.append((space.labels, space.dim))
+            return real(rhos, space, side)
+
+        monkeypatch.setattr(ent, "_negativities", spy)
+        rows = ent._records(y, n_cav)
+        monkeypatch.undo()
+        assert (("cavity", "mech"), 3 * n_mech) in widths
+        for row, sample in zip(rows, y):
+            v = sample.reshape(3, -1)
+            rho = DensityMatrix(CompositeSpace(n_cav, n_mech).space, v.T @ v.conj())
+            want = _uncompressed_record(rho, 0.0)[1:]
+            assert max(abs(a - b) for a, b in zip(row, want)) <= 1e-12
+            assert want[2] > 0.1
 
 
 class TestStackedKernel:
