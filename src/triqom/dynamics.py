@@ -20,6 +20,7 @@ from .core import (
     ModelParams,
     PureState,
     Space,
+    _joint_tail,
     _operators,
     _poisson_tail,
     coherent_amplitudes,
@@ -231,8 +232,7 @@ def _thermal_purification(ts, params: ModelParams,
     th = thermal_density(params.nbar_mech, nm)
     x = psi_qc[None, :, None] * np.diag(np.sqrt(np.diag(th.matrix).real))[:, None, :]
     y = np.stack([_propagate(x, t, params) for t in ts])
-    w_total = 1.0 - (1.0 - _poisson_tail(nc, params.alpha)) * (1.0 - th.discarded_weight)
-    return y, float(w_total)
+    return y, _joint_tail(_poisson_tail(nc, params.alpha), th.discarded_weight)
 
 
 def evolve_thermal(t: float, params: ModelParams,

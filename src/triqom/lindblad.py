@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse, special
 
 from . import core
 from .core import (
@@ -29,6 +28,9 @@ from .core import (
 )
 from .dynamics import Trajectory, hamiltonian
 from .entanglement import negativity
+
+if TYPE_CHECKING:  # scipy is imported by the functions that use it, at the first sweep
+    from scipy import sparse
 
 __all__ = [
     "DissipatorSpec",
@@ -170,6 +172,8 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     the Chebyshev recurrence, the mirror fill and the checks are counted as
     16 d^2-sized complex vectors.
     """
+    from scipy import sparse
+
     d = h.shape[0]
     counts = np.bincount(rank).astype(float)
     kept = 0.5 * (1.0 + (counts @ counts) / float(d) ** 2)
@@ -199,6 +203,8 @@ def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.spmatrix]) -> np.n
     (2012) 073007; Albert & Jiang, PRA 89 (2014) 022118).  A channel that
     breaks the label, such as a + a', leaves one sector: all of rho.
     """
+    from scipy import sparse
+
     rank = np.arange(cspace.dim) // cspace.n_mech
     for op in ops:
         op = sparse.csr_matrix(op)
@@ -217,6 +223,8 @@ def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix, keep: np.ndarray,
     kept, and `pos` (the index into `keep` of each column, -1 where
     dropped) renumbers it without reordering a row.
     """
+    from scipy import sparse
+
     a, b = (m if m.has_sorted_indices else m.sorted_indices() for m in (a.tocsr(), b.tocsr()))
     d = a.shape[0]
     i, j = np.divmod(keep, d)
@@ -293,6 +301,8 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     Re(O_k,ii conj(O_k,jj)), so its mean over all d^2 entries is
     -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
     """
+    from scipy import sparse
+
     d = frame.h.shape[0]
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
@@ -342,12 +352,14 @@ def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
     The series stops once k > tau and a term falls below 2^-53 of the
     partial sum.
     """
+    from scipy.special import jv
+
     if radius == 0.0:  # H a multiple of the identity and no channel: lio = 0
         return v.copy()
     tau = span * radius
     # J_k(tau) decays faster than any exponential once k > tau; 2 tau + 64
     # terms take it far below 2^-53
-    coef = 2.0 * special.jv(np.arange(2 * math.ceil(tau) + 64), tau)
+    coef = 2.0 * jv(np.arange(2 * math.ceil(tau) + 64), tau)
     s = 2.0 / radius
     prev, cur = v, lio @ v
     cur -= mu * v

@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     DensityMatrix,
     ModelParams,
     PureState,
     Space,
+    _log_factorials,
     displaced_fock,
     kitten_dim,
     partial_trace,
@@ -105,9 +105,12 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
     norm = np.abs(two_a)
     radius, inverse = np.unique(norm ** 2, return_inverse=True)
     d = np.arange(dim)[:, None]
-    # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows
-    cur = np.exp(special.xlogy(0.5 * d, radius) - 0.5 * radius
-                 - 0.5 * special.gammaln(d + 1.0))
+    # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows;
+    # (d/2) log x is 0 at d = 0 and -inf at the origin for d > 0
+    log_x = np.log(radius, out=np.full_like(radius, -np.inf), where=radius > 0.0)
+    log_row = np.zeros((dim, radius.size))
+    np.multiply(0.5 * d[1:], log_x, out=log_row[1:])
+    cur = np.exp(log_row - 0.5 * radius - 0.5 * _log_factorials(dim)[:, None])
     coeff = rho[0, :, None] * cur
     # rows d < k of three real buffers hold l_{m-1}, l_m and l_{m+1}; they
     # rotate each step, so the loop allocates no (dim x radii) temporaries

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden_outputs
 import triqom.cli
 import triqom.dynamics as dyn
 import triqom.entanglement as ent
@@ -665,21 +666,43 @@ class TestClosedSpaces:
         assert _closed_spaces(cfg) == want and want.dims[1:] == (28, 289)
 
 
-def test_scenarios_import_neither_scipy_linalg_module(tmp_path):
-    # scipy.linalg alone adds about 8 MB to a CLI process
+def test_closed_scenarios_import_no_scipy_module(tmp_path):
+    # only the open sweep needs scipy, and it loads scipy.sparse at its first
+    # call; scipy.linalg alone adds about 8 MB to a CLI process
     root = Path(__file__).resolve().parent.parent
+    quick = [str(root / "scenarios" / name) for name in golden_outputs.QUICK]
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\n"
                      "beta = 0.05\nn_cav = 2\nn_mech = 3\nkappa = 1e-2\n", encoding="utf-8")
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "def loaded(prefix):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == prefix)\n"
+        "seen = {}\n"
+        "import triqom\n"
+        "from triqom import integrate\n"
+        "seen['import triqom'] = loaded('scipy')\n"
+        "seen['library'] = loaded('triqom')\n"
         "from triqom.cli import main\n"
-        "for i, cfg in enumerate(sys.argv[1:3]):\n"
-        "    assert main(['run', cfg, '--out', f'{sys.argv[3]}/{i}', '--quiet']) == 0\n"
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+        "seen['modules'] = loaded('triqom')\n"
+        "*closed, sweep, out = sys.argv[1:]\n"
+        "for i, cfg in enumerate(closed):\n"
+        "    assert main(['run', cfg, '--out', f'{out}/{i}', '--quiet']) == 0, cfg\n"
+        "    seen[cfg] = loaded('scipy')\n"
+        "assert main(['run', sweep, '--out', f'{out}/sweep', '--quiet']) == 0\n"
+        "seen['sweep'] = loaded('scipy')\n"
+        "print(json.dumps(seen))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", script, str(sweep),
-                           str(root / "scenarios" / "fock_base.cfg"), str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", script, *quick, str(sweep), str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    seen = json.loads(done.stdout)
+    six = [f"triqom.{m}" for m in ("cli", "core", "dynamics", "entanglement",
+                                   "lindblad", "nonclassical")]
+    assert seen["library"] == ["triqom"] + [m for m in six if m != "triqom.cli"]
+    assert seen["modules"] == ["triqom"] + six  # the modules perfbench's tracer wraps
+    assert seen["import triqom"] == []
+    for cfg in quick:
+        assert seen[cfg] == [], cfg
+    assert "scipy.sparse" in seen["sweep"]
+    assert not {"scipy.linalg", "scipy.sparse.linalg"} & set(seen["sweep"])

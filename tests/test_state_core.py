@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from triqom import (
     coherent_state,
     displaced_fock,
     entanglement_record,
+    evolve_thermal,
     evolve_unitary,
     fock_state,
     integrate,
@@ -30,13 +33,18 @@ from triqom import (
     thermal_dim,
 )
 from scipy import sparse
+from scipy.special import gammainc, gammaln
 
+from triqom import core
 from triqom.core import (
     SUBSYSTEMS,
     _cutoff,
     _displaced_one_tail,
+    _joint_tail,
     _lift,
+    _log_factorials,
     _operators,
+    _poisson_tail,
     destroy,
     embed,
     number_op,
@@ -186,6 +194,77 @@ def test_full_period_state_reports_the_exact_poisson_tail(alpha, n_cav):
     assert st.discarded_weight == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+# the tail and the log-factorial table replaced scipy.special's gammainc and
+# gammaln; they must agree with both and leave every default cutoff as it was
+POISSON_ALPHAS = (0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0)
+
+
+@pytest.mark.parametrize("alpha", POISSON_ALPHAS)
+def test_poisson_tail_matches_gammainc_and_the_fsum_oracle(alpha):
+    for n in range(200):
+        got = _poisson_tail(n, alpha)
+        assert got == pytest.approx(poisson_tail_oracle(n, alpha), rel=1e-12, abs=1e-300)
+        if n >= 1:
+            assert got == pytest.approx(gammainc(n, alpha ** 2), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.05, 0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 3.7, 5.0, 6.0, 10.0))
+def test_default_cutoffs_are_those_of_gammainc(alpha, monkeypatch):
+    def dims():
+        out = [coherent_dim(alpha), kitten_dim(alpha)]
+        for g, lam in ((0.2, 0.25), (0.0125, 1.0), (0.5, 0.625)):
+            for n_cav in (2, 10, 24):
+                try:
+                    out.append(mechanics_dim(ModelParams(g=g, lam=lam, beta=alpha), n_cav))
+                except ValueError:  # above the ceiling
+                    out.append(None)
+        return out
+
+    ours = dims()
+    monkeypatch.setattr(core, "_poisson_tail", lambda n, a: float(gammainc(n, abs(a) ** 2)))
+    assert dims() == ours
+
+
+def test_log_factorials_match_gammaln():
+    table = _log_factorials(1300)
+    ref = gammaln(np.arange(1300) + 1.0)
+    assert np.all(np.abs(table - ref) <= 2.0 * np.spacing(ref))
+    assert not table.flags.writeable
+    assert np.array_equal(_log_factorials(5), np.log([1.0, 1.0, 2.0, 6.0, 24.0]))
+
+
+def test_cutoff_evaluates_each_tail_once():
+    calls = []
+    assert _cutoff(lambda n: calls.append(n) or (0.0 if n >= 100 else 1.0)) == 100
+    assert len(calls) == len(set(calls))
+
+
+def fraction_joint_tail(*weights):
+    """1 - prod(1 - w) in exact rational arithmetic."""
+    return 1 - math.prod(1 - Fraction(w) for w in weights)
+
+
+@pytest.mark.parametrize("weights", [
+    (1e-14,), (1e-14, 1e-14), (9.9e-12, 3e-15), (2.0186e-7, 6.2e-15),
+    (0.3, 0.2, 1e-9), (0.0, 5e-16), (0.0, 0.0), (1.0, 0.5)])
+def test_joint_tail_keeps_its_relative_precision(weights):
+    got, exact = _joint_tail(*weights), fraction_joint_tail(*weights)
+    assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    assert math.copysign(1.0, got) == 1.0
+
+
+def test_composed_states_carry_the_joint_tail():
+    cav, mech = coherent_state(3.0, 38), coherent_state(2.0, 25, label="mech")
+    w = tensor(cav, mech).discarded_weight
+    exact = fraction_joint_tail(cav.discarded_weight, mech.discarded_weight)
+    assert abs(Fraction(w) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    params = ModelParams(g=0.2, lam=0.25, alpha=2.0, nbar_mech=0.5)
+    cspace = CompositeSpace(20, 40)
+    w = evolve_thermal(1.3, params, cspace).discarded_weight
+    exact = fraction_joint_tail(_poisson_tail(20, 2.0), thermal_density(0.5, 40).discarded_weight)
+    assert abs(Fraction(w) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
 _NAN = float("nan")
 _NON_FINITE = {
     "coherent_state": lambda: coherent_state(_NAN, 10),
@@ -207,10 +286,12 @@ def test_non_finite_inputs_fail_closed(name):
 
 
 def test_thermal_density_zero_temperature():
-    rho = thermal_density(0.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log 0 must not be evaluated
+        rho = thermal_density(0.0, 6)
     expect = np.zeros((6, 6), dtype=complex)
     expect[0, 0] = 1.0
-    assert np.allclose(rho.matrix, expect, atol=1e-14)
+    assert np.array_equal(rho.matrix, expect) and rho.discarded_weight == 0.0
 
 
 def test_thermal_density_geometric():
