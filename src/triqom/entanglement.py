@@ -4,14 +4,15 @@ oscillator carries.
 
 One stacked record kernel, `_records`, turns a stack of S tripartite states,
 each K amplitude matrices (K = 1 for a pure state, one per thermal level for
-thermal mechanics), into the rows of a time series: one batched SVD
-compresses each mechanics to its rank and a second one each cavity, samples
-of equal ranks are reduced by one matrix product per pair, and each pair's
+thermal mechanics), into the rows of a time series.  One batched SVD
+compresses each mechanics to its rank r and a second one each cavity to its
+rank r_c, leaving one (K, 2, r, r_c) core per sample; samples of equal ranks
+are reduced from their cores by one matrix product per pair, and each pair's
 partial transposes are eigensolved in one batched `eigvalsh`.  At t = 2 pi l
 the cavity marginal has rank 1 or 2, so a thermal 20 x 40 sample's `neg_oc`
-eigensolve shrinks from 800^2 to 80^2 there.  `entanglement_record` of a pure
-state is its one-sample call; a DensityMatrix takes its pair reductions from
-`partial_trace`.
+eigensolve shrinks from 800^2 to 80^2 there, and its `neg_qc` one from 40^2
+to 4^2.  `entanglement_record` of a pure state is its one-sample call; a
+DensityMatrix takes its pair reductions from `partial_trace`.
 """
 from __future__ import annotations
 
@@ -221,12 +222,11 @@ def _sample_bytes(n_cav: int, n_mech: int, k: int = 1) -> int:
 
 def _pair_records(reds: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndarray:
     """(g, 4) rows of neg_qc, neg_qo, neg_oc, intrinsic_qc from the stacked
-    (qc, qo, oc) pair reductions of g states on (qubit, cavity, mech) dims.
-    The oc reduction may hold the cavity compressed to its support (see
-    `_records`): its width over n_mech gives its cavity levels."""
+    (qc, qo, oc) pair reductions of g states on (qubit, cavity, mech) dims:
+    a DensityMatrix's own, or the ranks (2, r_c, r) of a compressed core."""
     _, nc, nm = dims
     spaces = (Space(("qubit", "cavity"), (2, nc)), Space(("qubit", "mech"), (2, nm)),
-              Space(("cavity", "mech"), (reds[2].shape[-1] // nm, nm)))
+              Space(("cavity", "mech"), (nc, nm)))
     g = len(reds[0])
     t_qc = reds[0].reshape(g, 2, nc, 2, nc)
     singles = (np.trace(t_qc, axis1=2, axis2=4), np.trace(t_qc, axis1=1, axis2=3),
@@ -264,24 +264,23 @@ def _reduce(x: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
 
 def _reductions(states: np.ndarray, n_cav: int) -> list[tuple[np.ndarray, list, tuple]]:
     """The (qc, qo, oc) pair reductions of `_records`, one (samples, reductions,
-    (2, n_cav, r)) entry per group of samples of equal (r, r_c).  Returning
-    them frees the compressed amplitudes before any eigensolve."""
+    (2, r_c, r)) entry per group of samples of equal (r, r_c), all three from
+    the group's (g, K, 2, r, r_c) core.  Returning them frees the compressed
+    amplitudes before any eigensolve."""
     count, k = states.shape[:2]
     us, ranks = _compress(states.reshape(count, -1, states.shape[-1]))
+    w = us.shape[-1]
+    # the cavity unfolding: rows (K, qubit, mechanics), columns the cavity
+    cav, cav_ranks = _compress(np.swapaxes(us.reshape(count, k, 2, n_cav, w), -1, -2)
+                               .reshape(count, -1, n_cav))
     groups = []
-    for r in np.unique(ranks).tolist():
-        sel = np.flatnonzero(ranks == r)
-        x = us[sel][..., :r].reshape(-1, k, 2, n_cav, r)
-        # the cavity unfolding: rows (K, qubit, mechanics), columns the cavity
-        cav, cav_ranks = _compress(np.swapaxes(x, -1, -2).reshape(sel.size, -1, n_cav))
-        for rc in np.unique(cav_ranks).tolist():
-            sub = np.flatnonzero(cav_ranks == rc)
-            xs = x[sub]
-            # rows (kept pair), columns (K, the traced party): qc, qo, oc
-            reds = [_reduce(xs, (0, 2, 3, 1, 4)), _reduce(xs, (0, 2, 4, 1, 3)),
-                    _reduce(cav[sub][..., :rc].reshape(-1, k, 2, r, rc), (0, 4, 3, 1, 2))
-                    if rc < n_cav else _reduce(xs, (0, 3, 4, 1, 2))]
-            groups.append((sel[sub], reds, (2, n_cav, r)))
+    for r, rc in np.unique(np.column_stack([ranks, cav_ranks]), axis=0).tolist():
+        sel = np.flatnonzero((ranks == r) & (cav_ranks == rc))
+        x = cav[sel][..., :rc].reshape(-1, k, 2, w, rc)[:, :, :, :r]
+        # rows (kept pair), columns (K, the traced party): qc, qo, oc
+        reds = [_reduce(x, perm) for perm in
+                ((0, 2, 4, 1, 3), (0, 2, 3, 1, 4), (0, 4, 3, 1, 2))]
+        groups.append((sel, reds, (2, rc, r)))
     return groups
 
 
@@ -292,15 +291,14 @@ def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
 
     `_compress` first compresses each mechanics to its numerical rank r, on
     the (K 2 n_cav, n_mech) unfolding, then the cavity of the result to its
-    rank r_c, on the (K 2 r, n_cav) unfolding.  Each step differs from the
-    state by an isometry on one party alone, which changes no partial-transpose
-    spectrum and no linear entropy.  Samples of equal (r, r_c) are reduced as
-    Z Z^dagger, with Z of shape (2 n_cav, K r) for qc, (2 r, K n_cav) for qo
-    and (n_cav r, 2 K) for oc, and eigensolved as one stack per pair.  Where
-    r_c < n_cav (at t = 2 pi l, where the cavity marginal has rank 1 or 2, and
-    next to a revival) the oc Z is (r_c r, 2 K) instead; qc, qo and a
-    full-rank cavity's oc are reduced from the mechanics-compressed amplitudes
-    alone.  Callers cut a series with `_chunks(S, _sample_bytes(n_cav, n_mech, K))`.
+    rank r_c, on the (K 2 w, n_cav) unfolding, w = min(K 2 n_cav, n_mech).
+    Each step differs from the state by an isometry on one party alone, which
+    changes no partial-transpose spectrum and no linear entropy, and leaves
+    one (K, 2, r, r_c) core per sample.  Samples of equal (r, r_c) are reduced
+    from their cores as Z Z^dagger, with Z of shape (2 r_c, K r) for qc,
+    (2 r, K r_c) for qo and (r_c r, 2 K) for oc, and eigensolved as one stack
+    per pair.  Callers cut a series with `_chunks(S, _sample_bytes(n_cav,
+    n_mech, K))`.
     """
     out = np.empty((len(states), 4))
     for idx, reds, dims in _reductions(states, n_cav):

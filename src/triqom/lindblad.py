@@ -82,15 +82,19 @@ def photon_dephasing_rate(gamma_m: float, g: float, n_th: float) -> float:
 
 @dataclass(frozen=True)
 class DissipatorSpec:
-    """One jump channel: label, rate multiplying L[O], and the operator (CSR)."""
+    """One jump channel: label, rate multiplying L[O], and the operator,
+    converted to CSR once here."""
 
     label: str
     rate: float
     operator: sparse.csr_matrix
 
     def __post_init__(self):
+        from scipy import sparse
+
         if self.rate < 0 or not np.isfinite(self.rate):
             raise ValueError(f"channel {self.label}: rate must be finite and >= 0")
+        object.__setattr__(self, "operator", sparse.csr_matrix(self.operator))
 
 
 def build_dissipators(params: ModelParams, cspace: CompositeSpace,
@@ -120,7 +124,7 @@ def build_dissipators(params: ModelParams, cspace: CompositeSpace,
         ("qubit_dephasing", 0.5 * gphi, sz),
         ("photon_dephasing", _induced_dephasing(gm, params.g, n_th), num_c),
     )
-    return [DissipatorSpec(label, rate, op.tocsr()) for label, rate, op in table if rate > 0]
+    return [DissipatorSpec(label, rate, op) for label, rate, op in table if rate > 0]
 
 
 def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
@@ -172,14 +176,12 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     the Chebyshev recurrence, the mirror fill and the checks are counted as
     16 d^2-sized complex vectors.
     """
-    from scipy import sparse
-
     d = h.shape[0]
     counts = np.bincount(rank).astype(float)
     kept = 0.5 * (1.0 + (counts @ counts) / float(d) ** 2)
     nnz = 0.0
     for diss in cells:
-        ops = [sparse.csr_matrix(ch.operator) for ch in diss]
+        ops = [ch.operator for ch in diss]
         gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
         nnz = max(nnz, 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops))
     need = 3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
@@ -190,7 +192,7 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
                           f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
 
 
-def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.spmatrix]) -> np.ndarray:
+def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.csr_matrix]) -> np.ndarray:
     """Rank q * n_cav + n of each basis index's (qubit, photon) label (q, n),
     or all zeros if some operator in `ops` does not shift that rank by one
     constant.
@@ -203,11 +205,8 @@ def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.spmatrix]) -> np.n
     (2012) 073007; Albert & Jiang, PRA 89 (2014) 022118).  A channel that
     breaks the label, such as a + a', leaves one sector: all of rho.
     """
-    from scipy import sparse
-
     rank = np.arange(cspace.dim) // cspace.n_mech
     for op in ops:
-        op = sparse.csr_matrix(op)
         shift = (np.repeat(rank, np.diff(op.indptr)) - rank[op.indices])[op.data != 0]
         if shift.size and (shift != shift[0]).any():
             return np.zeros_like(rank)
@@ -309,7 +308,7 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     jump = None
     mu = 0.0
     for ch in dissipators:
-        o = sparse.csr_matrix(ch.operator)
+        o = ch.operator
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
         term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), frame.keep, frame.pos)
         jump = term if jump is None else jump + term

@@ -269,6 +269,7 @@ class TestMechanicsCompression:
         (evolve_coherent, CompositeSpace(8, 30), TWO_PI),
         (evolve_fock_superposition, CompositeSpace(2, 30), 1.3),
         (evolve_coherent, CompositeSpace(12, 10), 3.7),  # n_mech < 2 n_cav
+        (evolve_coherent, CompositeSpace(8, 30), 0.02),  # r = 7, and r_c = 6 of 8
     ])
     def test_pure_record_matches_uncompressed(self, evolve, cspace, t):
         psi = evolve(t, self.P, cspace)
@@ -308,7 +309,7 @@ class TestMechanicsCompression:
         # rank-1 mechanics, and a cavity of rank 2 (one state per qubit branch)
         assert widths[("cavity", "mech")] == 2
         assert widths[("qubit", "mech")] == 2
-        assert widths[("qubit", "cavity")] == 48
+        assert widths[("qubit", "cavity")] == 4
 
     def test_generic_time_keeps_at_most_the_branch_span(self, monkeypatch):
         widths = self._spied_widths(monkeypatch, 1.3)
@@ -319,9 +320,11 @@ class TestMechanicsCompression:
                                           (1.3, 800)])
     def test_thermal_sample_compresses_its_cavity(self, monkeypatch, t, width):
         # each purification row carries its own Fock level, so the mechanics
-        # keeps all 40; the cavity collapses to rank 1 at t = 0 and 2 at 2 pi l
+        # keeps all 40; the cavity collapses to rank 1 at t = 0 and 2 at 2 pi l.
+        # The oc reduction is r_c x 40 wide and the qc one 2 r_c: 2, 4, 4 and 40
         widths = self._spied_widths(monkeypatch, t, thermal=True)
         assert widths[("cavity", "mech")] == width
+        assert widths[("qubit", "cavity")] == width // 20
         assert widths[("qubit", "mech")] == 80
 
     def test_compressed_cavity_matches_uncompressed(self, monkeypatch):
