@@ -334,7 +334,7 @@ def mechanics_dim(params: ModelParams, n_cav: int) -> int:
     """Cutoff absorbing the worst-case conditional displacement of the oscillator.
 
     The coherent orbit conditioned on the top cavity level reaches amplitude
-    |beta| + 2*(g*(n_cav-1) + |lam|); thermal initial occupancy adds its own
+    |beta| + 2*(|g|*(n_cav-1) + |lam|); thermal initial occupancy adds its own
     floor.  A cutoff above 600 levels raises ValueError rather than being
     clamped; pass an explicit n_mech to go beyond it.
     """

@@ -146,19 +146,18 @@ def _branch_state(qc_weights: np.ndarray, ts, params: ModelParams,
     return amp[:, None], discarded
 
 
-def _fock_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray:
+def _fock_weights(params: ModelParams, n_cav: int) -> np.ndarray:
     """Initial (2, n_cav) branch weights: qubit (up+down)/sqrt2, cavity (|0>-|1>)/sqrt2."""
-    if cspace.n_cav < 2:
+    if n_cav < 2:
         raise ValueError("cavity truncation must be >= 2 for the |0>,|1> superposition")
-    w = np.zeros((2, cspace.n_cav), dtype=complex)
-    w[:, 0] = 0.5
-    w[:, 1] = -0.5
+    w = np.zeros((2, n_cav), dtype=complex)
+    w[:, :2] = 0.5, -0.5
     return w
 
 
-def _coherent_weights(params: ModelParams, cspace: CompositeSpace) -> np.ndarray:
+def _coherent_weights(params: ModelParams, n_cav: int) -> np.ndarray:
     """Initial (2, n_cav) branch weights: qubit (up+down)/sqrt2, cavity |alpha>."""
-    return np.tile(coherent_amplitudes(params.alpha, cspace.n_cav) / math.sqrt(2.0), (2, 1))
+    return np.tile(coherent_amplitudes(params.alpha, n_cav) / math.sqrt(2.0), (2, 1))
 
 
 def evolve_fock_superposition(t: float, params: ModelParams,
@@ -169,8 +168,8 @@ def evolve_fock_superposition(t: float, params: ModelParams,
     coherent state of the oscillator with its own accumulated phase.
     """
     cspace = cspace or default_composite_space(params, family="fock")
-    [(_, amp, discarded)] = _family_series("fock", [t], params, cspace)
-    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
+    amp, [discarded] = _branch_state(_fock_weights(params, cspace.n_cav), [t], params, cspace)
+    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded)
 
 
 def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
@@ -194,8 +193,8 @@ def evolve_coherent(t: float, params: ModelParams,
                     cspace: CompositeSpace | None = None) -> PureState:
     """Closed-form state for qubit (up+down)/sqrt2, cavity |alpha>, mech |beta>."""
     cspace = cspace or default_composite_space(params, family="coherent")
-    [(_, amp, discarded)] = _family_series("coherent", [t], params, cspace)
-    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded[0])
+    amp, [discarded] = _branch_state(_coherent_weights(params, cspace.n_cav), [t], params, cspace)
+    return PureState(cspace.space, amp[0, 0], discarded_weight=discarded)
 
 
 def qubit_cavity_at_cycle(l: int, params: ModelParams,
@@ -210,9 +209,8 @@ def qubit_cavity_at_cycle(l: int, params: ModelParams,
         raise ValueError("cycle count l must be a nonnegative integer")
     if n_cav is None:
         n_cav = coherent_dim(params.alpha)
-    c = coherent_amplitudes(params.alpha, n_cav) / math.sqrt(2.0)
-    s = branch_shifts(params, n_cav)
-    vec = np.tile(c, 2) * _branch_phases(s, 2.0 * math.pi * l, params.beta)
+    w = _coherent_weights(params, n_cav).reshape(-1)
+    vec = w * _branch_phases(branch_shifts(params, n_cav), 2.0 * math.pi * l, params.beta)
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         raise ValueError("state lost entirely to truncation")
@@ -224,15 +222,13 @@ def _thermal_purification(ts, params: ModelParams,
                           cspace: CompositeSpace) -> tuple[np.ndarray, float]:
     """The thermal family at the S times `ts` as a purification: the
     (S, n_mech, 2 n_cav, n_mech) stack of y_m = sqrt(p_m) U(t) (psi_qc (x) |m>),
-    one per thermal level m, with rho(t) = sum_m y_m y_m^dagger; and the
-    discarded weight, the same at every time."""
-    nc, nm = cspace.n_cav, cspace.n_mech
-    psi_qc = _coherent_weights(params, cspace).reshape(-1)
-    psi_qc /= np.linalg.norm(psi_qc)
-    th = thermal_density(params.nbar_mech, nm)
-    x = psi_qc[None, :, None] * np.diag(np.sqrt(np.diag(th.matrix).real))[:, None, :]
+    psi_qc = `qubit_cavity_at_cycle` at l = 0 and m a thermal level, with
+    rho(t) = sum_m y_m y_m^dagger; and the discarded weight, the same at every time."""
+    psi_qc = qubit_cavity_at_cycle(0, params, cspace.n_cav)
+    th = thermal_density(params.nbar_mech, cspace.n_mech)
+    x = psi_qc.amplitudes[None, :, None] * np.diag(np.sqrt(np.diag(th.matrix).real))[:, None, :]
     y = np.stack([_propagate(x, t, params) for t in ts])
-    return y, _joint_tail(_poisson_tail(nc, params.alpha), th.discarded_weight)
+    return y, _joint_tail(psi_qc.discarded_weight, th.discarded_weight)
 
 
 def evolve_thermal(t: float, params: ModelParams,
@@ -251,14 +247,14 @@ def evolve_thermal(t: float, params: ModelParams,
 
 def _family_series(family: str, ts, params: ModelParams, cspace: CompositeSpace):
     """Chunks (times, (S, K, 2 n_cav, n_mech) amplitudes, discarded weights) of a
-    closed family's series at the times `ts`, cut by `_chunks`: K = 1 for a pure
-    family, the n_mech purification rows for the thermal one.  Builders are
-    looked up as the series runs, so a later patch is the one called."""
+    closed family's series at `ts` for the CLI runner, cut by `_chunks`: K = 1
+    for a pure family, the n_mech purification rows for the thermal one.  Builders
+    are looked up as the series runs, so a later patch is the one called."""
     ts = np.asarray(ts, dtype=float)
     if family == "thermal":
         build, k = _thermal_purification, cspace.n_mech
     else:
-        w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace)
+        w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace.n_cav)
         build, k = (lambda *a: _branch_state(w, *a)), 1
     for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
         yield ts[c], *build(ts[c], params, cspace)

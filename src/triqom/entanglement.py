@@ -197,7 +197,8 @@ _STACK_BYTES = 2 * 2 ** 20
 
 def _chunks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices of `count` samples of `item_bytes` each, with at most
-    _STACK_BYTES per slice and at least one sample.  Raises MemoryError if
+    _STACK_BYTES per slice and at least one sample; the CLI's closed series and
+    `entanglement_record` of a pure state call it.  Raises MemoryError if
     three copies of one sample (a pair reduction, its Hermitian part and
     LAPACK's working copy) would not fit in physical memory.  The budget is
     the uncompressed worst case: a compressed cavity shrinks the reduction
@@ -308,10 +309,11 @@ def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
 
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:
     """All pairwise negativities plus the intrinsic measure for a tripartite
-    state: a pure state is the one-sample call of the stacked record kernel
-    `_records`, and a density matrix is reduced by `partial_trace`."""
+    state: a pure state is the one-sample call of `_records` once `_chunks`
+    admits its size, and a density matrix is reduced by `partial_trace`."""
     cspace = CompositeSpace.of(state.space)
     if isinstance(state, PureState):
+        _chunks(1, _sample_bytes(cspace.n_cav, cspace.n_mech))
         rows = _records(state.amplitudes.reshape(1, 1, 2 * cspace.n_cav, -1), cspace.n_cav)
     else:
         rows = _pair_records([partial_trace(state, keep).matrix[None] for keep, _ in _PAIRS],

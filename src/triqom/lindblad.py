@@ -486,8 +486,9 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
     starting from rho0; rows come out with Gamma as the outer loop.  Each
     cell is `integrate` over one period, but H, its Bohr spread and the
     sector map are built once per sweep, so a cell builds only its own
-    Liouvillian.  The memory check covers the largest cell before
-    anything d^2-sized is built: above physical memory it raises MemoryError.
+    Liouvillian; `config` is accepted and plays no part, as in `integrate`.
+    The memory check covers the largest cell before anything d^2-sized is
+    built: above physical memory it raises MemoryError.
     """
     cspace = CompositeSpace.of(rho0.space)
     cells = [(float(big_gamma), float(gphi),

@@ -682,6 +682,12 @@ def test_closed_scenarios_import_no_scipy_module(tmp_path):
         "import triqom\n"
         "from triqom import integrate\n"
         "seen['import triqom'] = loaded('scipy')\n"
+        "from triqom import (CompositeSpace, ModelParams, evolve_coherent,\n"
+        "                    evolve_thermal, evolve_unitary)\n"
+        "p = ModelParams(g=0.2, lam=0.25, alpha=0.5, nbar_mech=0.5)\n"
+        "evolve_unitary(evolve_coherent(0.0, p, CompositeSpace(3, 8)), 1.3, p)\n"
+        "evolve_thermal(1.3, p, CompositeSpace(3, 16))\n"
+        "seen['evolve'] = loaded('scipy')\n"
         "seen['library'] = loaded('triqom')\n"
         "from triqom.cli import main\n"
         "seen['modules'] = loaded('triqom')\n"
@@ -702,6 +708,7 @@ def test_closed_scenarios_import_no_scipy_module(tmp_path):
     assert seen["library"] == ["triqom"] + [m for m in six if m != "triqom.cli"]
     assert seen["modules"] == ["triqom"] + six  # the modules perfbench's tracer wraps
     assert seen["import triqom"] == []
+    assert seen["evolve"] == []  # _propagate diagonalizes with numpy's eigh
     for cfg in quick:
         assert seen[cfg] == [], cfg
     assert "scipy.sparse" in seen["sweep"]

@@ -385,6 +385,28 @@ class TestStackedKernel:
         assert len(_chunks(3, _sample_bytes(20, 40, 40))) == 3
         assert len(_chunks(50, _sample_bytes(2, 4, 4))) == 1
 
+    @pytest.mark.parametrize("build, params, size, budget", [
+        # 3 x _sample_bytes(24, 70) = 60.75 MiB for a 52.5 KiB state
+        (evolve_coherent, ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=2.0), (24, 70),
+         32 * 2 ** 20),
+        # 3 x _sample_bytes(2, 600) = 0.22 MiB for a 37.5 KiB state
+        (evolve_fock_superposition, ModelParams(g=0.2, lam=0.625, beta=1.0), (2, 600),
+         128 * 2 ** 10),
+    ])
+    def test_builders_apply_no_budget_and_the_record_refuses(self, monkeypatch, build,
+                                                             params, size, budget):
+        # the memory rule sizes the record's reductions, not the state; the
+        # sizes keep a missing guard's allocation near 60 MiB
+        from triqom.entanglement import _sample_bytes
+
+        assert budget < 3 * _sample_bytes(*size)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: budget)
+        state = build(1.3, params, CompositeSpace(*size))
+        assert state.amplitudes.nbytes == 16 * 2 * size[0] * size[1]
+        assert abs(state.norm() - 1.0) < 1e-12
+        with pytest.raises(MemoryError, match="one sample of the series needs"):
+            entanglement_record(state, 1.3)
+
     def test_thermal_sample_holds_two_copies_of_its_largest_reduction(self):
         import tracemalloc
 
