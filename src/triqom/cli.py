@@ -29,7 +29,7 @@ from .core import (
     tensor,
 )
 from .dynamics import _family_series, _family_space
-from .entanglement import _records
+from .entanglement import _series
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     _axis,
@@ -249,14 +249,9 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
 
 def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     cspace = _closed_spaces(cfg)
-    blocks = []
-    max_discard = 0.0
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    for times, states, discarded in _family_series(_FAMILIES[cfg.scenario], ts,
-                                                   cfg.params, cspace):
-        blocks.append(np.column_stack([times, _records(states, cspace.n_cav)]))
-        max_discard = max(max_discard, float(np.max(discarded)))
-    rows = np.concatenate(blocks)
+    build, k = _family_series(_FAMILIES[cfg.scenario], cfg.params, cspace)
+    rows, max_discard = _series(build, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
+                                cspace)
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
         log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)

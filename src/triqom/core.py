@@ -9,6 +9,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -70,7 +71,7 @@ class Space:
 
     def __post_init__(self):
         labels = _check_labels(self.labels)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(operator.index(d) for d in self.dims)
         if len(dims) != len(labels):
             raise ValueError("labels and dims length mismatch")
         if any(d < 1 for d in dims):
@@ -103,6 +104,8 @@ class CompositeSpace:
     n_mech: int
 
     def __post_init__(self):
+        for name in ("n_cav", "n_mech"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_cav < 1 or self.n_mech < 1:
             raise ValueError("truncation dimensions must be >= 1")
 
@@ -351,6 +354,14 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _require_bytes(need: float, what: str) -> None:
+    """Raise MemoryError if `what`, which needs `need` bytes, exceeds `_memory_budget()`."""
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryError(f"{what} needs about {need / 2.0 ** 30:.3g} GiB, more than the "
+                          f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -373,10 +384,6 @@ def _log_factorial_table(size: int) -> np.ndarray:
     return _readonly(np.array(table))
 
 
-def _single(label: str, dim: int) -> Space:
-    return Space((label,), (int(dim),))
-
-
 def _checked(kind: str, tail: float, dim: int, tail_tol: float) -> float:
     if tail > tail_tol:
         raise ValueError(f"{kind} tail {tail:.3e} beyond dim {dim} exceeds "
@@ -389,7 +396,7 @@ def fock_state(n: int, dim: int, label: str = "cavity") -> PureState:
         raise ValueError(f"Fock index {n} outside [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
-    return PureState(_single(label, dim), v)
+    return PureState(Space((label,), (dim,)), v)
 
 
 def qubit_state(up: complex, down: complex) -> PureState:
@@ -397,7 +404,7 @@ def qubit_state(up: complex, down: complex) -> PureState:
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("zero qubit amplitudes")
-    return PureState(_single("qubit", 2), v / nrm)
+    return PureState(Space(("qubit",), (2,)), v / nrm)
 
 
 def coherent_amplitudes(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
@@ -425,7 +432,7 @@ def coherent_state(alpha: complex, dim: int, label: str = "cavity",
 
     Raises if the exact Poisson tail beyond `dim` exceeds `tail_tol`.
     """
-    space = _single(label, dim)
+    space = Space((label,), (dim,))
     vec = coherent_amplitudes(alpha, dim)
     tail = _checked("coherent", float(_poisson_tail(dim, alpha)), dim, tail_tol)
     vec /= np.linalg.norm(vec)
@@ -437,7 +444,7 @@ def thermal_density(nbar: float, dim: int, label: str = "mech",
     """Truncated thermal (geometric) state, renormalized, tail recorded."""
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    space = _single(label, dim)
+    space = Space((label,), (dim,))
     tail = _checked("thermal", _geometric_tail(dim, nbar), dim, tail_tol)
     # k log r with the k = 0 term exactly 0, so nbar = 0 (log r = -inf) gives the vacuum
     r = nbar / (nbar + 1.0)
@@ -458,7 +465,7 @@ def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
     the `math.fsum` of the levels above `dim` (1 - captured would be rounding
     noise near 1e-14).
     """
-    space = _single(label, dim)
+    space = Space((label,), (dim,))
     if not 0 <= n < dim:
         raise ValueError(f"Fock index {n} outside [0, {dim})")
     ladder = dim + coherent_dim(abs(alpha))

@@ -28,7 +28,6 @@ from .core import (
     mechanics_dim,
     thermal_density,
 )
-from .entanglement import _chunks, _sample_bytes
 
 __all__ = [
     "eta",
@@ -184,6 +183,8 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon numbers must be >= 0")
+    if n.size == 0:
+        return np.zeros(n.shape, dtype=complex)
     s = params.g * n + sign * params.lam
     mag = coherent_amplitudes(params.alpha, int(n.max()) + 1)[n] / math.sqrt(2.0)
     return mag * _branch_phases(s, t, params.beta)
@@ -245,19 +246,15 @@ def evolve_thermal(t: float, params: ModelParams,
     return DensityMatrix(cspace.space, y.T @ y.conj(), discarded_weight=w_total)
 
 
-def _family_series(family: str, ts, params: ModelParams, cspace: CompositeSpace):
-    """Chunks (times, (S, K, 2 n_cav, n_mech) amplitudes, discarded weights) of a
-    closed family's series at `ts` for the CLI runner, cut by `_chunks`: K = 1
-    for a pure family, the n_mech purification rows for the thermal one.  Builders
-    are looked up as the series runs, so a later patch is the one called."""
-    ts = np.asarray(ts, dtype=float)
+def _family_series(family: str, params: ModelParams, cspace: CompositeSpace):
+    """(build, K) of a closed family's series for `entanglement._series`:
+    build(ts) returns the (S, K, 2 n_cav, n_mech) amplitudes at the S times
+    `ts` and their discarded weights, K = 1 for a pure family and n_mech for
+    the thermal purification.  build looks its builder up at each call."""
     if family == "thermal":
-        build, k = _thermal_purification, cspace.n_mech
-    else:
-        w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace.n_cav)
-        build, k = (lambda *a: _branch_state(w, *a)), 1
-    for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
-        yield ts[c], *build(ts[c], params, cspace)
+        return (lambda ts: _thermal_purification(ts, params, cspace)), cspace.n_mech
+    w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace.n_cav)
+    return (lambda ts: _branch_state(w, ts, params, cspace)), 1
 
 
 @dataclass(frozen=True)

@@ -197,16 +197,13 @@ _STACK_BYTES = 2 * 2 ** 20
 
 def _chunks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices of `count` samples of `item_bytes` each, with at most
-    _STACK_BYTES per slice and at least one sample; the CLI's closed series and
+    _STACK_BYTES per slice and at least one sample; `_series` and
     `entanglement_record` of a pure state call it.  Raises MemoryError if
     three copies of one sample (a pair reduction, its Hermitian part and
     LAPACK's working copy) would not fit in physical memory.  The budget is
     the uncompressed worst case: a compressed cavity shrinks the reduction
     only at t = 2 pi l, and a generic time needs the full one."""
-    budget = core._memory_budget()
-    if 3 * item_bytes > budget:
-        raise MemoryError(f"one sample of the series needs about {3 * item_bytes / 2.0 ** 30:.3g}"
-                          f" GiB, more than the {budget / 2.0 ** 30:.3g} GiB of physical memory")
+    core._require_bytes(3 * item_bytes, "one sample of the series")
     step = max(1, _STACK_BYTES // item_bytes)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
@@ -298,13 +295,28 @@ def _records(states: np.ndarray, n_cav: int) -> np.ndarray:
     one (K, 2, r, r_c) core per sample.  Samples of equal (r, r_c) are reduced
     from their cores as Z Z^dagger, with Z of shape (2 r_c, K r) for qc,
     (2 r, K r_c) for qo and (r_c r, 2 K) for oc, and eigensolved as one stack
-    per pair.  Callers cut a series with `_chunks(S, _sample_bytes(n_cav,
-    n_mech, K))`.
+    per pair.  `_series` cuts a series into such stacks with `_chunks`.
     """
     out = np.empty((len(states), 4))
     for idx, reds, dims in _reductions(states, n_cav):
         out[idx] = _pair_records(reds, dims)
     return out
+
+
+def _series(build, k: int, ts, cspace: CompositeSpace) -> tuple[np.ndarray, float]:
+    """(S, 5) rows t, neg_qc, neg_qo, neg_oc, intrinsic_qc of a closed series
+    at the S times `ts`, and its largest discarded weight.  build(times), from
+    `dynamics._family_series`, returns the (s, K, 2 n_cav, n_mech) amplitudes
+    of `_records` at s times and their discarded weights.  `_chunks` refuses
+    before any slice is built, and each is reduced before the next is built."""
+    ts = np.asarray(ts, dtype=float)
+    rows = np.empty((ts.size, 4))
+    max_discarded = 0.0
+    for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
+        states, discarded = build(ts[c])
+        rows[c] = _records(states, cspace.n_cav)
+        max_discarded = max(max_discarded, float(np.max(discarded)))
+    return np.column_stack([ts, rows]), max_discarded
 
 
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:

@@ -184,12 +184,8 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
         ops = [ch.operator for ch in diss]
         gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
         nnz = max(nnz, 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops))
-    need = 3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2
-    budget = core._memory_budget()
-    if need > budget:
-        raise MemoryError(f"the open sweep at dimension {d} needs about "
-                          f"{need / 2.0 ** 30:.3g} GiB, more than the "
-                          f"{budget / 2.0 ** 30:.3g} GiB of physical memory")
+    core._require_bytes(3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2,
+                        f"the open sweep at dimension {d}")
 
 
 def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.csr_matrix]) -> np.ndarray:
@@ -288,9 +284,9 @@ class _Frame:
 
 
 def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
-                 ) -> tuple[sparse.csr_matrix, float]:
-    """Kept rows and columns of the Liouvillian, and the mean mu of the real
-    part of its whole diagonal.
+                 ) -> tuple[sparse.csr_matrix, float, float]:
+    """Kept rows and columns of the Liouvillian, the mean mu of the real
+    part of its whole diagonal, and a bound on its dissipative widening.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
     L = A kron I + I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k), with
@@ -299,6 +295,14 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     kept between cells.  Re diag L at (i, j) is -(G_ii + G_jj) + sum_k 2 r_k
     Re(O_k,ii conj(O_k,jj)), so its mean over all d^2 entries is
     -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
+
+    The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
+    i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
+    dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
+    conj(O_k) adds at most ||D||_1 <= sum_k 2 r_k ||O_k||_1 (||O_k||_inf +
+    ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1 and ||O'||_1 = ||O||_inf;
+    the radius S plus this bound stays > 0 when S = 0.  The bound is measured
+    on d x d operators.
     """
     from scipy import sparse
 
@@ -306,36 +310,21 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
     jump = None
-    mu = 0.0
+    mu = bound = 0.0
     for ch in dissipators:
         o = ch.operator
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
         term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), frame.keep, frame.pos)
         jump = term if jump is None else jump + term
         mu += 2.0 * ch.rate * abs(o.diagonal().mean()) ** 2
+        mag = abs(o)
+        col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
+        bound += 2.0 * ch.rate * col * (row + col)
     gen = -1j * frame.h - gain
     lio = (_kept_kron(gen, eye, frame.keep, frame.pos)
            + _kept_kron(eye, gen.conj(), frame.keep, frame.pos))
-    return (lio if jump is None else lio + jump), mu - 2.0 * float(gain.diagonal().real.mean())
-
-
-def _dissipative_bound(dissipators: Sequence[DissipatorSpec]) -> float:
-    """Bound on how far dissipation widens the Liouvillian's spectrum.
-
-    The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
-    i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
-    dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
-    conj(O_k), G = sum_k r_k O_k'O_k, adds at most ||D||_1 <= sum_k 2 r_k
-    ||O_k||_1 (||O_k||_inf + ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1
-    and ||O'||_1 = ||O||_inf; the radius S plus this bound stays > 0 when
-    S = 0.  Everything is measured on d x d operators.
-    """
-    bound = 0.0
-    for ch in dissipators:
-        mag = abs(ch.operator)
-        col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
-        bound += 2.0 * ch.rate * col * (row + col)
-    return bound
+    mu -= 2.0 * float(gain.diagonal().real.mean())
+    return (lio if jump is None else lio + jump), mu, bound
 
 
 def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
@@ -438,8 +427,8 @@ def _evolve(frame: _Frame, rho0: DensityMatrix, times: Iterable[float],
         raise ValueError("need at least one sample time")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    lio, mu = _liouvillian(frame, dissipators)
-    radius = frame.spread + _dissipative_bound(dissipators)
+    lio, mu, bound = _liouvillian(frame, dissipators)
+    radius = frame.spread + bound
     mat = rho0.matrix
     kept = (0.5 * (mat + mat.conj().T)).reshape(-1)[frame.keep]
     t_now = 0.0

@@ -211,6 +211,11 @@ class TestCoherentCoefficients:
         with pytest.raises(ValueError, match="photon"):
             coherent_amplitude_coeff(np.array([2, -1]), +1, 0.0, p)
 
+    @pytest.mark.parametrize("n", [[], np.arange(0)])
+    def test_empty_photon_numbers_give_an_empty_array(self, n):
+        c = coherent_amplitude_coeff(n, +1, 1.3, ModelParams(g=0.3, lam=0.2, alpha=1.5))
+        assert c.shape == (0,) and c.dtype == complex
+
     def test_magnitude_constant_in_time(self):
         p = ModelParams(g=0.25, lam=0.4, alpha=2.0, beta=1.0)
         n = np.arange(10)

@@ -407,6 +407,38 @@ class TestStackedKernel:
         with pytest.raises(MemoryError, match="one sample of the series needs"):
             entanglement_record(state, 1.3)
 
+    def test_series_refuses_before_it_builds(self, monkeypatch):
+        from triqom.dynamics import _family_series
+        from triqom.entanglement import _sample_bytes, _series
+
+        calls = []
+        cspace = CompositeSpace(2, 3)
+
+        def build(ts):
+            calls.append(ts)
+            return np.zeros((len(ts), 3, 4, 3)), [0.0] * len(ts)
+
+        # three copies of one 2 x 3 thermal sample take 3,888 bytes
+        assert 3 * _sample_bytes(2, 3, 3) == 3888
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 3887)
+        with pytest.raises(MemoryError, match="one sample of the series needs"):
+            _series(build, 3, [0.0, 1.0], cspace)
+        assert calls == []
+        monkeypatch.undo()
+        # within the budget, one series is one _series call on a family's (build, K)
+        p = ModelParams(g=0.2, lam=0.25, alpha=0.5, nbar_mech=0.5)
+        cspace = CompositeSpace(3, 16)
+        build, k = _family_series("thermal", p, cspace)
+        assert k == 16
+        ts = [0.0, 1.3, TWO_PI]
+        rows, lost = _series(build, k, ts, cspace)
+        assert rows.shape == (3, 5) and rows[:, 0].tolist() == ts
+        for row, t in zip(rows, ts):
+            rec = entanglement_record(evolve_thermal(t, p, cspace), t)
+            want = (rec.neg_qc, rec.neg_qo, rec.neg_oc, rec.intrinsic_qc)
+            assert np.max(np.abs(row[1:] - want)) <= 1e-12
+        assert lost == evolve_thermal(1.3, p, cspace).discarded_weight
+
     def test_thermal_sample_holds_two_copies_of_its_largest_reduction(self):
         import tracemalloc
 

@@ -261,7 +261,7 @@ class TestLiouvillian:
             "caller_csc": _caller_csc(cs),
         }[channels]
         frame = _Frame.build(ALL_RATES, cs, [diss])
-        got, mu = _liouvillian(frame, diss)
+        got, mu, _ = _liouvillian(frame, diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
         # the label-breaking channel leaves one sector: every entry is kept
         assert (frame.keep.size == cs.dim ** 2) == (channels == "caller_csc")
@@ -289,7 +289,7 @@ class TestLiouvillian:
         assert abs(full[~kept][:, kept]).sum() == 0.0
         # the assembled kept rows are that block of L, entry for entry
         frame = _Frame.build(ALL_RATES, cs, [diss])
-        got, mu = _liouvillian(frame, diss)
+        got, mu, _ = _liouvillian(frame, diss)
         assert np.array_equal(frame.keep, np.flatnonzero(kept))
         assert abs(got - full[kept][:, kept]).max() <= 1e-15
         assert abs(mu - full.diagonal().real.mean()) <= 1e-15

@@ -70,6 +70,16 @@ def test_composite_space_dims():
         CompositeSpace(0, 7)
 
 
+def test_sizes_must_be_integers():
+    with pytest.raises(TypeError):
+        CompositeSpace(2.7, 3)
+    with pytest.raises(TypeError):
+        Space(("cavity",), (2.5,))
+    cs = CompositeSpace(np.int64(4), 5)
+    assert cs == CompositeSpace(4, 5)
+    assert type(cs.n_cav) is int and type(cs.dim) is int
+
+
 _P = ModelParams(g=0.2, lam=0.25, alpha=0.5, beta=0.5)
 _TRIPARTITE = {
     "entanglement_record": lambda psi: entanglement_record(psi, 0.0),
