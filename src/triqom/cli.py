@@ -1,9 +1,10 @@
 """Scenario runner: maps flat `key = value` config files onto library calls and
 writes deterministic, diff-able data files plus a JSON manifest.
 
-Exit codes: 0 success, 1 validation error (bad usage, bad config, or an
-output directory that cannot be written), 2 numerical failure while running a
-valid scenario.
+Exit codes: 0 success, 1 validation error (bad usage, an unreadable file, a
+bad config, an output directory that cannot be created or written, or a
+problem too large for memory), 2 numerical failure while running a valid
+scenario.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from . import __version__
 from .core import (
     CompositeSpace,
     ModelParams,
+    _poisson_tail,
     coherent_state,
-    displaced_fock,
     kitten_dim,
     qubit_state,
     tensor,
@@ -33,9 +34,9 @@ from .entanglement import _series
 from .lindblad import IntegrationError, negativity_sweep
 from .nonclassical import (
     _axis,
+    _kitten_objective,
     cavity_unconditional,
     default_axis,
-    fidelity_displaced_fock,
     projected_qubit_state,
     projection_probability,
     radial_lobe_count,
@@ -326,17 +327,14 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     # the target's tail, not the state's, bounds the fidelity error
     dim = cfg.n_cav or kitten_dim(params.alpha)
-    rows = []
-    for g in gs:
-        state = projected_qubit_state(cfg.l, params.with_rates(g=float(g)), +1, dim)
-        rows.append((float(g), fidelity_displaced_fock(state, params.alpha, 1)))
+    fidelity, target = _kitten_objective(params, cfg.l, dim)
+    rows = [(float(g), fidelity(float(g))) for g in gs]
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
     _write(out_dir, manifest, "fidelity.csv", rows, "g,fidelity")
-    target = displaced_fock(params.alpha, 1, dim)
     manifest["truncations"] = {"n_cav": dim}
-    # every g keeps the same exact coherent tail
-    manifest["tail_weights"] = {"max_discarded_weight": state.discarded_weight,
+    # every g's state keeps the cavity's exact Poisson tail (`qubit_cavity_at_cycle`)
+    manifest["tail_weights"] = {"max_discarded_weight": _poisson_tail(dim, params.alpha),
                                 "target_discarded_weight": target.discarded_weight}
     manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
 

@@ -181,10 +181,12 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("photon numbers must be >= 0")
     if n.size == 0:
         return np.zeros(n.shape, dtype=complex)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"photon numbers must be integers, got {n.dtype} values")
+    if np.any(n < 0):
+        raise ValueError("photon numbers must be >= 0")
     s = params.g * n + sign * params.lam
     mag = coherent_amplitudes(params.alpha, int(n.max()) + 1)[n] / math.sqrt(2.0)
     return mag * _branch_phases(s, t, params.beta)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core import (
     PureState,
     Space,
     _log_factorials,
+    _require_bytes,
     displaced_fock,
     kitten_dim,
     partial_trace,
@@ -78,9 +80,20 @@ def _cavity_matrix(state: PureState | DensityMatrix) -> np.ndarray:
     if len(state.space.labels) != 1:
         raise ValueError("Wigner tools take a single-mode state; reduce it first")
     if isinstance(state, PureState):
-        v = state.amplitudes
-        return np.outer(v, v.conj())
+        state = state.density_matrix()
     return state.matrix
+
+
+# bytes per point and per (level x distinct radius) that `wigner_at` holds:
+# six (level x radius) buffers, four real and two complex, and about 98 bytes
+# per point in the traced peaks of `wigner` on default_axis(3) grids of 201^2
+# to 801^2 points at 41 and 81 levels, rounded up here to 128
+_WIGNER_POINT_BYTES, _WIGNER_CELL_BYTES = 128, 64
+
+
+def _require_wigner_bytes(dim: int, points: int, radii: int) -> None:
+    _require_bytes(_WIGNER_POINT_BYTES * points + _WIGNER_CELL_BYTES * dim * radii,
+                   f"a Wigner grid of {points} points on {dim} levels")
 
 
 def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarray:
@@ -97,6 +110,8 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
     three-term recurrence in m once per distinct x (points grouped exactly,
     without rounding); the angular sum is Horner's rule in e^{i theta}, one
     pass over the points per diagonal d.  Output is real, shaped like `points`.
+    A MemoryError is raised before the (level x radius) buffers when they and
+    the points would exceed the physical memory.
     """
     rho = _cavity_matrix(state)
     dim = rho.shape[0]
@@ -104,6 +119,7 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
     two_a = 2.0 * a.ravel()
     norm = np.abs(two_a)
     radius, inverse = np.unique(norm ** 2, return_inverse=True)
+    _require_wigner_bytes(dim, two_a.size, radius.size)
     d = np.arange(dim)[:, None]
     # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows;
     # (d/2) log x is 0 at d = 0 and -inf at the origin for d > 0
@@ -141,9 +157,15 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
 
 def wigner(state: PureState | DensityMatrix, x_axis: np.ndarray,
            y_axis: np.ndarray) -> WignerGrid:
-    """Wigner function of a single-mode state on a rectangular quadrature grid."""
+    """Wigner function of a single-mode state on a rectangular quadrature grid.
+
+    Refuses an oversized grid before it allocates the points: the radius of
+    x + i y depends on |x| and |y| alone, which bounds the distinct radii.
+    """
     x = np.asarray(x_axis, dtype=float)
     y = np.asarray(y_axis, dtype=float)
+    _require_wigner_bytes(state.space.dim, x.size * y.size,
+                          np.unique(np.abs(x)).size * np.unique(np.abs(y)).size)
     pts = (x[:, None] + 1j * y[None, :]) / math.sqrt(2.0)
     return WignerGrid(x, y, wigner_at(state, pts))
 
@@ -274,25 +296,23 @@ def fidelity_displaced_fock(state: PureState | DensityMatrix, alpha: complex,
     return float(np.real(t.conj() @ _cavity_matrix(state) @ t))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _kitten_objective(params: ModelParams, l: int,
+                      dim: int) -> tuple[Callable[[float], float], PureState]:
+    """The kitten objective at `params` with its coupling left free: F(g) is
+    the fidelity of the plus-projected cavity state after l periods at coupling
+    g, on `dim` levels, with D(alpha)|1>.  That target depends on no g, so it
+    is built once, here, and returned with F."""
+    target = displaced_fock(params.alpha, 1, dim, label="cavity")
+    t = target.amplitudes
+
+    def fidelity(g: float) -> float:
+        state = projected_qubit_state(l, params.with_rates(g=g), +1, dim)
+        return float(np.real(t.conj() @ _cavity_matrix(state) @ t))
+
+    return fidelity, target
 
 
-_KITTEN_G_TOL = 1e-6  # width of the final golden-section bracket in g
+_KITTEN_G_TOL = 1e-6  # absolute tolerance in g of the bounded Brent refinement
 
 
 def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
@@ -300,27 +320,25 @@ def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
                           coarse: int = 257) -> tuple[float, float]:
     """Coupling in `g_range` maximizing fidelity with D(alpha)|1> after projection.
 
-    Coarse scan, then golden-section refinement in the best bracket, at `kitten_dim`.
-    Raises if the objective is flat over the range.
+    Coarse scan, then bounded Brent (scipy's `minimize_scalar`) in the best
+    bracket to 1e-6 in g, at `kitten_dim`.  Raises if the objective is flat
+    over the range.
     """
+    from scipy.optimize import minimize_scalar  # closed runs import numpy alone
+
     lo, hi = g_range
     if not (0 < lo < hi):
         raise ValueError("need 0 < g_lo < g_hi")
-    dim = kitten_dim(alpha)
-
-    def f(g: float) -> float:
-        p = ModelParams(g=g, lam=lam, alpha=alpha)
-        return fidelity_displaced_fock(projected_qubit_state(l, p, +1, dim), alpha, 1)
-
+    f, _ = _kitten_objective(ModelParams(g=lo, lam=lam, alpha=alpha), l, kitten_dim(alpha))
     gs = np.linspace(lo, hi, coarse)
     vals = np.array([f(g) for g in gs])
     if vals.max() - vals.min() < 1e-12:
         raise ValueError("objective is flat over the requested range")
     k = int(vals.argmax())
-    bl = gs[max(0, k - 1)]
-    bh = gs[min(coarse - 1, k + 1)]
-    g_star = _golden_max(f, bl, bh, _KITTEN_G_TOL)
-    return float(g_star), float(f(g_star))
+    bracket = (gs[max(0, k - 1)], gs[min(coarse - 1, k + 1)])
+    best = minimize_scalar(lambda g: -f(g), bounds=bracket, method="bounded",
+                           options={"xatol": _KITTEN_G_TOL})
+    return float(best.x), float(-best.fun)
 
 
 # ---------------------------------------------------------------------------

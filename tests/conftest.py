@@ -11,6 +11,7 @@ last digit at more threads.  It is pinned here, before numpy loads.
 """
 import math
 import os
+import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -167,3 +168,19 @@ def random_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def spy_calls(monkeypatch, func):
+    """Wrap `func` in every loaded triqom module that holds it, so a call by any
+    name is seen; returns the list of the calls' positional arguments."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "triqom" or name.startswith("triqom.")) \
+                and vars(module).get(func.__name__) is func:
+            monkeypatch.setattr(module, func.__name__, spy)
+    return calls

@@ -19,6 +19,8 @@ from triqom import (ModelParams, cavity_unconditional, displaced_fock, entanglem
 from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
 from triqom.nonclassical import _axis, default_axis
 
+from conftest import spy_calls
+
 TWO_PI = 2.0 * math.pi
 
 FOCK_CFG = """\
@@ -332,6 +334,14 @@ class TestRunScenarios:
         assert np.all((0.0 <= data[:, 1]) & (data[:, 1] <= 1.0))
 
 
+    def test_kitten_scan_builds_its_target_once(self, tmp_path, monkeypatch):
+        calls = spy_calls(monkeypatch, displaced_fock)
+        cfg = Path(__file__).resolve().parent.parent / "scenarios" / "kitten_fidelity_scan.cfg"
+        code, out = _run(tmp_path, cfg.read_text(encoding="utf-8"))
+        assert code == 0
+        assert len(calls) == 1
+        assert len((out / "fidelity.csv").read_text().splitlines()) == 62
+
     def test_kitten_fidelity_reports_truncation_loss(self, tmp_path):
         # 32 levels is the smallest cutoff that holds the D(3)|1> target
         text = ("scenario = kitten-fidelity\nlambda = 1\nalpha = 3\nl = 10\n"
@@ -642,6 +652,19 @@ class TestExitCodes:
         monkeypatch.undo()
         code, out = _run(tmp_path, text)
         assert code == 0 and (out / "entanglement.csv").exists()
+
+    def test_wigner_grid_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
+                                                                monkeypatch):
+        text = ("scenario = cat-unconditional\ng = 0.5\nlambda = 0.5\nalpha = 1\n"
+                "grid_points = 21\n")
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
+        code, out = _run(tmp_path, text)
+        assert code == 1
+        assert "error: problem too large for memory" in capsys.readouterr().err
+        assert not (out / "wigner.dat").exists()
+        monkeypatch.undo()
+        code, out = _run(tmp_path, text)
+        assert code == 0 and (out / "wigner.dat").exists()
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1

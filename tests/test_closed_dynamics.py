@@ -211,6 +211,12 @@ class TestCoherentCoefficients:
         with pytest.raises(ValueError, match="photon"):
             coherent_amplitude_coeff(np.array([2, -1]), +1, 0.0, p)
 
+    @pytest.mark.parametrize("n", [[1.0, 2.0], 2.5])
+    def test_rejects_non_integer_photon_numbers(self, n):
+        p = ModelParams(g=0.3, lam=0.2, alpha=1.5)
+        with pytest.raises(ValueError, match="photon numbers must be integers"):
+            coherent_amplitude_coeff(n, +1, 0.0, p)
+
     @pytest.mark.parametrize("n", [[], np.arange(0)])
     def test_empty_photon_numbers_give_an_empty_array(self, n):
         c = coherent_amplitude_coeff(n, +1, 1.3, ModelParams(g=0.3, lam=0.2, alpha=1.5))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     coherent_vec,
     displacement_dense,
     random_density,
+    spy_calls,
     wigner_quadrature,
 )
 
@@ -175,6 +177,40 @@ class TestWigner:
                     arr[0] = 1.0
         ax[0] = -9.0  # the caller may still write, and no grid sees it
         assert grid.x_axis[0] == grid.y_axis[0] == default_axis(1.0, 11)[0]
+
+
+class TestWignerMemory:
+    """`wigner` and `wigner_at` refuse, with MemoryError, before the point grid
+    and the (level x radius) buffers; no test allocates an oversized grid."""
+
+    @pytest.mark.parametrize("dim", [41, 81])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, dim):
+        state = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0), dim)
+        ax = default_axis(3.0)
+        pts = (ax[:, None] + 1j * ax[None, :]) / math.sqrt(2.0)
+        tracemalloc.start()
+        try:
+            wigner(state, ax, ax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a budget of exactly the peak is below both estimates
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
+        with pytest.raises(MemoryError, match="a Wigner grid of 40401 points"):
+            wigner(state, ax, ax)
+        with pytest.raises(MemoryError, match="a Wigner grid of 40401 points"):
+            wigner_at(state, pts)
+
+    def test_grid_refuses_before_it_builds_the_points(self, monkeypatch):
+        calls = spy_calls(monkeypatch, wigner_at)
+        state = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0), 41)
+        ax = default_axis(3.0, 41)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
+        with pytest.raises(MemoryError, match="physical memory"):
+            wigner(state, ax, ax)
+        assert calls == []
+        monkeypatch.undo()
+        assert wigner(state, ax, ax).values.shape == (41, 41)
 
 
 class TestUnconditionalCavity:
@@ -338,6 +374,22 @@ class TestDisplacedFockFidelity:
         assert f_max > f(0.03) + 1e-3
         # the fringe condition g = 1/(8 l lam) is not necessarily the optimum
         assert f_max >= f(kitten_coupling(10, 1.0)) - 1e-6
+
+    # (g*, F*) of the golden-section refinement that bounded Brent replaced
+    @pytest.mark.parametrize("args, coarse, want", [
+        ((3.0, 1.0, 10, (0.002, 0.03)), 257, (0.0038917100589790847, 0.47849655764689947)),
+        ((3.0, 1.0, 10, (2e-4, 0.03)), 257, (0.00138622507254848, 0.9842362959028579)),
+        ((3.0, 1.0, 10, (0.002, 0.03)), 129, (0.0038917902458861313, 0.47849656271581487)),
+    ])
+    def test_optimum_matches_the_golden_section_reference(self, args, coarse, want):
+        g_star, f_star = optimize_g_for_kitten(*args, coarse=coarse)
+        assert abs(g_star - want[0]) < 1e-6
+        assert abs(f_star - want[1]) < 1e-6
+
+    def test_optimizer_builds_the_target_once(self, monkeypatch):
+        calls = spy_calls(monkeypatch, displaced_fock)
+        optimize_g_for_kitten(3.0, 1.0, 10, (0.002, 0.03))
+        assert len(calls) == 1
 
     def test_optimum_stable_under_scan_resolution(self):
         a, _ = optimize_g_for_kitten(3.0, 1.0, 10, (0.002, 0.03), coarse=257)
