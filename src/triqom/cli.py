@@ -23,6 +23,7 @@ from . import __version__
 from .core import (
     CompositeSpace,
     ModelParams,
+    _checked,
     _poisson_tail,
     coherent_state,
     kitten_dim,
@@ -242,6 +243,8 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the closed family of each scenario's initial state (the open sweep's is |beta>)
 _FAMILIES = {"fock-entanglement": "fock", "coherent-entanglement": "coherent",
              "thermal-entanglement": "thermal", "open-sweep": "coherent"}
+# a closed run refuses, with exit 2, a tail the state constructors would refuse
+_CLOSED_TAIL_TOL = 1e-6
 
 
 def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
@@ -253,6 +256,7 @@ def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> Non
     build, k = _family_series(_FAMILIES[cfg.scenario], cfg.params, cspace)
     rows, max_discard = _series(build, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
                                 cspace)
+    _checked(f"{cfg.scenario} state", max_discard, cspace.dim, _CLOSED_TAIL_TOL)
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
         log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)
@@ -295,6 +299,7 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     axis = default_axis(params.alpha, cfg.grid_points)
     r_max = axis[-1]  # lobes are counted out to the grid's half-width
     unc = cavity_unconditional(cfg.l, params, cfg.n_cav)
+    _checked(f"{cfg.scenario} cavity", unc.discarded_weight, unc.space.dim, _CLOSED_TAIL_TOL)
     grid_unc = wigner(unc, axis, axis)
     span = f"{axis[0]:.17g} {axis[-1]:.17g} {axis.size}"
     header = f"# x: {span}\n# y: {span}"

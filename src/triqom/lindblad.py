@@ -158,9 +158,9 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
 
 
 def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
-                    cells: Sequence[Sequence[DissipatorSpec]]) -> None:
-    """Raise MemoryError if the kept Liouvillian and the propagation vectors
-    of the largest cell would not fit in physical memory.
+                    dissipators: Sequence[DissipatorSpec]) -> None:
+    """Raise MemoryError if the kept Liouvillian of H and the channels
+    `dissipators` and the propagation vectors would not fit in physical memory.
 
     The estimate uses only d x d operators.  With A = -iH - G, `_liouvillian`
     gathers E <= 2 d nnz(A) + sum_k nnz(O_k)^2 entries of the full
@@ -179,11 +179,9 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     d = h.shape[0]
     counts = np.bincount(rank).astype(float)
     kept = 0.5 * (1.0 + (counts @ counts) / float(d) ** 2)
-    nnz = 0.0
-    for diss in cells:
-        ops = [ch.operator for ch in diss]
-        gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
-        nnz = max(nnz, 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops))
+    ops = [ch.operator for ch in dissipators]
+    gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
+    nnz = 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops)
     core._require_bytes(3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2,
                         f"the open sweep at dimension {d}")
 
@@ -240,13 +238,12 @@ def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix, keep: np.ndarray,
 
 @dataclass(frozen=True)
 class _Frame:
-    """What every cell of an open sweep shares: the Hamiltonian, its Bohr
-    spread and the sector ranks with the kept entries they select.
+    """The Hamiltonian, its Bohr spread and the sector ranks with the kept
+    entries they select.
 
     The kept entries (i, j) of vec(rho) are those with rank(i) >= rank(j);
     each dropped entry is the conjugate of its kept mirror (j, i), because
-    rho stays Hermitian.  Nothing d^2-sized but `keep` and `pos` is held:
-    each cell assembles its whole Liouvillian (`_liouvillian`).
+    rho stays Hermitian.  Nothing d^2-sized but `keep` and `pos` is held.
     """
 
     h: sparse.csr_matrix
@@ -257,21 +254,25 @@ class _Frame:
 
     @classmethod
     def build(cls, params: ModelParams, cspace: CompositeSpace,
-              cells: Sequence[Sequence[DissipatorSpec]]) -> "_Frame":
-        """The frame for `params`' Hamiltonian and the channel tables `cells`.
-
-        Raises MemoryError before any d^2-sized allocation if the largest
-        cell would not fit in physical memory.
-        """
+              dissipators: Sequence[DissipatorSpec]) -> "_Frame":
+        """The frame for `params`' Hamiltonian and the channels `dissipators`,
+        or MemoryError before any d^2-sized allocation if they would not fit.
+        H keeps the (qubit, photon) label, so its spread is that of its 2 n_cav
+        diagonal n_mech x n_mech blocks; no dense d x d H is built."""
         h = hamiltonian(params, cspace, as_sparse=True)
-        rank = _sector_rank(cspace, [h, *(ch.operator for diss in cells for ch in diss)])
-        _require_memory(h, rank, cells)
-        energies = np.linalg.eigvalsh(h.toarray())
-        d = cspace.dim
+        rank = _sector_rank(cspace, [h, *(ch.operator for ch in dissipators)])
+        _require_memory(h, rank, dissipators)
+        d, m = cspace.dim, cspace.n_mech
+        label, i = np.divmod(np.repeat(np.arange(d), np.diff(h.indptr)), m)
+        if (label != h.indices // m)[h.data != 0].any():  # checked, not assumed
+            raise AssertionError("the Hamiltonian couples two (qubit, photon) labels")
+        blocks = np.zeros((d // m, m, m), dtype=complex)
+        np.add.at(blocks, (label, i, h.indices % m), h.data)
+        energies = np.linalg.eigvalsh(blocks)
         keep = np.flatnonzero(rank[:, None] >= rank[None, :])
         pos = np.full(d * d, -1, dtype=keep.dtype)
         pos[keep] = np.arange(keep.size)
-        return cls(h, float(energies[-1] - energies[0]), rank, keep, pos)
+        return cls(h, float(energies.max() - energies.min()), rank, keep, pos)
 
     def unfold(self, v: np.ndarray) -> np.ndarray:
         """The d x d matrix of the kept entries `v`, each dropped entry filled
@@ -291,10 +292,9 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
     L = A kron I + I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k), with
     A = -i H - G and G = sum_k r_k O_k'O_k (zero in a lossless cell): one
-    `_kept_kron` gather per channel and two for A, and nothing d^2-sized
-    kept between cells.  Re diag L at (i, j) is -(G_ii + G_jj) + sum_k 2 r_k
-    Re(O_k,ii conj(O_k,jj)), so its mean over all d^2 entries is
-    -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
+    `_kept_kron` gather per channel and two for A.  Re diag L at (i, j) is
+    -(G_ii + G_jj) + sum_k 2 r_k Re(O_k,ii conj(O_k,jj)), so its mean over
+    all d^2 entries is -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
 
     The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
     i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
@@ -411,22 +411,18 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     all of rho is propagated.  Each propagated sample is then symmetrized
     once and checked for trace drift and positivity; a sample at t = 0 is
     `rho0` itself.  Sample times must be nonnegative and strictly
-    increasing.
+    increasing.  Above physical memory it raises MemoryError before it
+    builds anything d^2-sized.
     """
-    cspace = CompositeSpace.of(rho0.space)
-    if dissipators is None:
-        dissipators = build_dissipators(params, cspace)
-    return _evolve(_Frame.build(params, cspace, [dissipators]), rho0, times, dissipators)
-
-
-def _evolve(frame: _Frame, rho0: DensityMatrix, times: Iterable[float],
-            dissipators: Sequence[DissipatorSpec]) -> Trajectory:
-    """`integrate` on a prepared frame: the samples of rho0 at `times`."""
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one sample time")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be nonnegative and strictly increasing")
+    cspace = CompositeSpace.of(rho0.space)
+    if dissipators is None:
+        dissipators = build_dissipators(params, cspace)
+    frame = _Frame.build(params, cspace, dissipators)
     lio, mu, bound = _liouvillian(frame, dissipators)
     radius = frame.spread + bound
     mat = rho0.matrix
@@ -472,24 +468,20 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
 
     gamma_phi values are the total qubit dephasing rates (the dressed rate is
     pinned, not re-derived from a bare rate).  Cells are independent, all
-    starting from rho0; rows come out with Gamma as the outer loop.  Each
-    cell is `integrate` over one period, but H, its Bohr spread and the
-    sector map are built once per sweep, so a cell builds only its own
-    Liouvillian; `config` is accepted and plays no part, as in `integrate`.
-    The memory check covers the largest cell before anything d^2-sized is
-    built: above physical memory it raises MemoryError.
+    starting from rho0; rows come out with Gamma as the outer loop.  Every
+    cell's channels are built, and so every rate checked, before any cell
+    runs; each cell is then one `integrate` call over one period, which
+    raises MemoryError before it builds anything d^2-sized.
     """
     cspace = CompositeSpace.of(rho0.space)
     cells = [(float(big_gamma), float(gphi),
               build_dissipators(params.with_rates(Gamma=float(big_gamma)), cspace,
                                 dephasing_rate=float(gphi)))
              for big_gamma in Gamma_values for gphi in gamma_phi_values]
-    frame = _Frame.build(params, cspace, [diss for _, _, diss in cells])
     rows: list[tuple[float, float, float]] = []
     for big_gamma, gphi, diss in cells:
-        traj = _evolve(frame, rho0, [t_cycle], diss)
-        rho_qc = partial_trace(traj.states[-1], ("qubit", "cavity"))
-        neg = negativity(rho_qc, ("qubit",))
+        state = integrate(rho0, params, [t_cycle], config, dissipators=diss).states[-1]
+        neg = negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
         rows.append((big_gamma, gphi, neg))
         if progress is not None:
             progress(big_gamma, gphi, neg)

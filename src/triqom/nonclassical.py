@@ -160,12 +160,14 @@ def wigner(state: PureState | DensityMatrix, x_axis: np.ndarray,
     """Wigner function of a single-mode state on a rectangular quadrature grid.
 
     Refuses an oversized grid before it allocates the points: the radius of
-    x + i y depends on |x| and |y| alone, which bounds the distinct radii.
+    x + i y depends on |x| and |y| alone, which bounds the distinct radii; on
+    axes with the same m values of |x|, m (m + 1) / 2 unordered pairs.
     """
     x = np.asarray(x_axis, dtype=float)
     y = np.asarray(y_axis, dtype=float)
-    _require_wigner_bytes(state.space.dim, x.size * y.size,
-                          np.unique(np.abs(x)).size * np.unique(np.abs(y)).size)
+    ux, uy = np.unique(np.abs(x)), np.unique(np.abs(y))
+    radii = ux.size * (ux.size + 1) // 2 if np.array_equal(ux, uy) else ux.size * uy.size
+    _require_wigner_bytes(state.space.dim, x.size * y.size, radii)
     pts = (x[:, None] + 1j * y[None, :]) / math.sqrt(2.0)
     return WignerGrid(x, y, wigner_at(state, pts))
 

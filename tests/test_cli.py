@@ -369,8 +369,8 @@ class TestRunScenarios:
 
     def test_intrinsic_offset_flag_only_for_thermal(self, tmp_path):
         flag = "intrinsic_qc_offset_by_mech_entropy"
-        base = ("g = 0.2\nlambda = 0.25\nalpha = 1\nnbar = 0.5\nn_cav = 6\n"
-                "n_mech = 16\nt_end = 6.283185307179586\nsamples = 2\n")
+        base = ("g = 0.2\nlambda = 0.25\nalpha = 1\nnbar = 0.5\nn_cav = 10\n"
+                "n_mech = 24\nt_end = 6.283185307179586\nsamples = 2\n")
         for scenario in ("thermal-entanglement", "coherent-entanglement",
                          "fock-entanglement"):
             code, out = _run(tmp_path, f"scenario = {scenario}\n" + base,
@@ -456,7 +456,7 @@ class TestThermalSeries:
     `entanglement_record(evolve_thermal(t), t)` to rounding."""
 
     TEXT = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 1\n"
-            "nbar = 0.5\nn_cav = 6\nn_mech = 16\nsamples = 5\n")
+            "nbar = 0.5\nn_cav = 10\nn_mech = 16\nsamples = 5\n")
 
     def _series(self, tmp_path, monkeypatch, grid, per_chunk):
         """The CLI's rows checked against the density records; returns those
@@ -506,18 +506,18 @@ class TestThermalSeries:
         want, widths = self._series(tmp_path, monkeypatch, "t_start = 0.5\nt_end = 5.5\n",
                                     per_chunk)
         assert min(want[1:, 1]) > 1e-4 and min(want[:, 3]) > 1e-2  # generic times
-        assert widths == [6 * 16] * 5
+        assert widths == [10 * 16] * 5
 
     @pytest.mark.parametrize("per_chunk", [None, 2])
     def test_revival_rows_reduce_neg_oc_on_the_cavity_support(self, tmp_path, monkeypatch,
                                                                per_chunk):
         # t = 0, pi, ..., 4 pi: the mechanics factors out at 0, 2 pi and 4 pi, where
         # the cavity marginal has rank 1 (t = 0) or 2, and neg_oc is eigensolved
-        # at 16 and 2 x 16 instead of 6 x 16
+        # at 16 and 2 x 16 instead of 10 x 16
         want, widths = self._series(tmp_path, monkeypatch,
                                     "t_start = 0\nt_end = 12.566370614359172\n", per_chunk)
         assert max(want[::2, 2:4].ravel()) < 1e-12 < min(want[1::2, 3])
-        assert widths == [16, 32, 32, 96, 96]
+        assert widths == [16, 32, 32, 160, 160]
 
 
 class TestProgress:
@@ -641,7 +641,7 @@ class TestExitCodes:
 
     def test_closed_series_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
                                                                   monkeypatch):
-        text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 0.05\n"
+        text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\nalpha = 0.01\n"
                 "n_cav = 2\nn_mech = 3\nsamples = 2\n")
         # three copies of one 2 x 3 thermal sample take 3,888 bytes
         monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
@@ -665,6 +665,22 @@ class TestExitCodes:
         monkeypatch.undo()
         code, out = _run(tmp_path, text)
         assert code == 0 and (out / "wigner.dat").exists()
+
+    @pytest.mark.parametrize("scenario, sizes, data", [
+        ("fock-entanglement", "beta = 3\nn_mech = 5\n", "entanglement.csv"),
+        ("coherent-entanglement", "n_mech = 5\n", "entanglement.csv"),
+        ("thermal-entanglement", "n_cav = 3\n", "entanglement.csv"),
+        ("cat-conditional", "alpha = 3\nn_cav = 2\n", "wigner.dat"),
+    ])
+    def test_closed_state_beyond_the_tail_tolerance_is_exit_two(self, tmp_path, capsys,
+                                                                 scenario, sizes, data):
+        # the library builders keep any tail; the CLI refuses one above 1e-6
+        code, out = _run(tmp_path, f"scenario = {scenario}\ng = 0.2\nlambda = 0.25\n"
+                                   f"samples = 2\n{sizes}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {scenario}" in err and "exceeds tolerance 1.0e-06" in err
+        assert not (out / data).exists() and not (out / "manifest.json").exists()
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 1

@@ -28,12 +28,14 @@ from triqom import (
 )
 from scipy import sparse
 
+from triqom import core
 from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
 from triqom.lindblad import (DissipatorSpec, _Frame, _liouvillian, _require_memory,
                              _sector_rank)
+import triqom.lindblad as lindblad
 
-from conftest import TWO_PI, random_density
+from conftest import TWO_PI, random_density, spy_calls
 
 SQRT2 = math.sqrt(2.0)
 
@@ -260,7 +262,7 @@ class TestLiouvillian:
             "all_seven": build_dissipators(ALL_RATES, cs),
             "caller_csc": _caller_csc(cs),
         }[channels]
-        frame = _Frame.build(ALL_RATES, cs, [diss])
+        frame = _Frame.build(ALL_RATES, cs, diss)
         got, mu, _ = _liouvillian(frame, diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
         # the label-breaking channel leaves one sector: every entry is kept
@@ -288,11 +290,36 @@ class TestLiouvillian:
         assert abs(full[kept][:, ~kept]).sum() == 0.0
         assert abs(full[~kept][:, kept]).sum() == 0.0
         # the assembled kept rows are that block of L, entry for entry
-        frame = _Frame.build(ALL_RATES, cs, [diss])
+        frame = _Frame.build(ALL_RATES, cs, diss)
         got, mu, _ = _liouvillian(frame, diss)
         assert np.array_equal(frame.keep, np.flatnonzero(kept))
         assert abs(got - full[kept][:, kept]).max() <= 1e-15
         assert abs(mu - full.diagonal().real.mean()) <= 1e-15
+
+
+class TestFrame:
+    @pytest.mark.parametrize("dims, channels", [((2, 3), "all_seven"), ((6, 8), "all_seven"),
+                                                ((2, 3), "caller_csc")])
+    def test_block_spread_equals_the_dense_spread(self, monkeypatch, dims, channels):
+        cs = CompositeSpace(*dims)
+        diss = build_dissipators(ALL_RATES, cs) if channels == "all_seven" else _caller_csc(cs)
+        energies = np.linalg.eigvalsh(hamiltonian(ALL_RATES, cs, as_sparse=True).toarray())
+
+        def dense(self, *args, **kwargs):
+            raise AssertionError("the frame built a dense matrix")
+
+        # the frame reads the spread from H's (q, n) blocks, never from the d x d H
+        monkeypatch.setattr(sparse.csr_matrix, "toarray", dense)
+        frame = _Frame.build(ALL_RATES, cs, diss)
+        assert frame.spread == energies[-1] - energies[0]
+
+    def test_rejects_a_hamiltonian_that_couples_two_labels(self, monkeypatch):
+        cs = CompositeSpace(2, 3)
+        h = hamiltonian(ALL_RATES, cs, as_sparse=True).tolil()
+        h[0, cs.n_mech] = h[cs.n_mech, 0] = 0.1  # |up, 0, 0> <-> |up, 1, 0>
+        monkeypatch.setattr(lindblad, "hamiltonian", lambda *args, **kwargs: h.tocsr())
+        with pytest.raises(AssertionError, match="couples two"):
+            _Frame.build(ALL_RATES, cs, [])
 
 
 class TestMemoryEstimate:
@@ -316,10 +343,10 @@ class TestMemoryEstimate:
             tracemalloc.stop()
         h = hamiltonian(p, cs, as_sparse=True)
         rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
-        _require_memory(h, rank, [diss])
+        _require_memory(h, rank, diss)
         monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
         with pytest.raises(MemoryError):
-            _require_memory(h, rank, [diss])
+            _require_memory(h, rank, diss)
 
 
 class TestIntegrate:
@@ -476,3 +503,32 @@ class TestSweep:
                                 config=OpenSystemConfig(dt=5e-3))
         negs = [r[2] for r in rows]
         assert all(b <= a + 1e-10 for a, b in zip(negs, negs[1:]))
+
+    def test_each_cell_is_one_integrate_call(self, monkeypatch):
+        p = ModelParams(g=0.1, lam=0.25, alpha=0.3, kappa=0.01, gamma_m=1e-4, n_th=0.1)
+        cs = CompositeSpace(5, 6)
+        rho0 = sweep_initial_state(p, cs)
+        calls = spy_calls(monkeypatch, integrate)
+        rows = negativity_sweep([0.0, 1e-3], [0.0, 0.05], p, rho0=rho0)
+        assert len(calls) == len(rows) == 4
+        monkeypatch.undo()
+        for big_gamma, gphi, neg in rows:
+            diss = build_dissipators(p.with_rates(Gamma=big_gamma), cs, dephasing_rate=gphi)
+            state = integrate(rho0, p, [TWO_PI], dissipators=diss).states[-1]
+            assert neg == negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
+
+    def test_a_cell_refuses_before_it_builds(self, monkeypatch):
+        # a lossless cell, then one with qubit decay, whose estimate is larger
+        p = ModelParams(g=0.1, lam=0.25, alpha=0.05)
+        rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
+        needs = []
+        require = core._require_bytes
+        monkeypatch.setattr(core, "_require_bytes",
+                            lambda need, what: needs.append(need) or require(need, what))
+        negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
+        assert len(needs) == 2 and needs[0] < needs[1]
+        monkeypatch.setattr(core, "_memory_budget", lambda: needs[0])
+        calls = spy_calls(monkeypatch, _liouvillian)
+        with pytest.raises(MemoryError, match="open sweep"):
+            negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
+        assert len(calls) == 1

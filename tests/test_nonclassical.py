@@ -28,7 +28,8 @@ from triqom import (
     wigner_at,
 )
 from triqom.core import displaced_fock
-from triqom.nonclassical import WignerGrid, default_axis
+from triqom.nonclassical import (_WIGNER_CELL_BYTES, _WIGNER_POINT_BYTES, WignerGrid,
+                                 default_axis)
 
 from conftest import (
     TWO_PI,
@@ -211,6 +212,20 @@ class TestWignerMemory:
         assert calls == []
         monkeypatch.undo()
         assert wigner(state, ax, ax).values.shape == (41, 41)
+
+    def test_equal_axes_count_unordered_pairs(self, monkeypatch):
+        # 21 values of |x| on the mirrored 41-point axis: |x + i y| depends on
+        # their unordered pair, 231 radii, where |x| x |y| counts 441
+        state = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0), 41)
+        ax = default_axis(3.0, 41)
+        points = _WIGNER_POINT_BYTES * 41 * 41
+        budget = points + _WIGNER_CELL_BYTES * 41 * 231
+        assert points + _WIGNER_CELL_BYTES * 41 * 441 > budget
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: budget)
+        assert wigner(state, ax, ax).values.shape == (41, 41)
+        # axes with different |values| keep the |x| x |y| bound
+        with pytest.raises(MemoryError, match="a Wigner grid of 1681 points"):
+            wigner(state, ax, 1.5 * ax)
 
 
 class TestUnconditionalCavity:
