@@ -32,7 +32,7 @@ from .core import (
 )
 from .dynamics import _family_series, _family_space
 from .entanglement import _series
-from .lindblad import IntegrationError, negativity_sweep
+from .lindblad import IntegrationError, _require_open_bytes, negativity_sweep
 from .nonclassical import (
     _axis,
     _kitten_objective,
@@ -275,6 +275,7 @@ def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> Non
 def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     params = cfg.params
     cspace = _closed_spaces(cfg)
+    _require_open_bytes(cspace.dim)  # before the d x d rho0
     # tails up to 1e-3 let explicit cutoffs keep the d^2 x d^2 Liouvillian small
     cav = coherent_state(params.alpha, cspace.n_cav, label="cavity", tail_tol=1e-3)
     mech = coherent_state(params.beta, cspace.n_mech, label="mech", tail_tol=1e-3)

@@ -369,18 +369,24 @@ def _log_factorials(n: int) -> np.ndarray:
     """Read-only log k! for k < n: a view of the cached table whose length is
     the next power of two, so the process holds a few short tables at most.
 
-    Each entry is `math.log` of the exact integer k!, within 1.2 ulp of
-    log k! for k < 1300; `math.lgamma(k + 1)` is 3.2 ulp off at k = 2.
+    Each entry k < 2048 is `math.log` of the exact integer k!, within 1.2
+    ulp of log k! for k < 1300; `math.lgamma(k + 1)` is 3.2 ulp off at k = 2.
+    Beyond that, the exact product costs time quadratic in k (7-8 s for 2^17
+    entries on one core), and `math.lgamma(k + 1)` lies within 2 ulp of it.
     """
     return _log_factorial_table(1 << max(n - 1, 0).bit_length())[:n]
+
+
+_EXACT_FACTORIALS = 2048
 
 
 @functools.cache
 def _log_factorial_table(size: int) -> np.ndarray:
     table, fact = [0.0], 1
-    for k in range(1, size):
+    for k in range(1, min(size, _EXACT_FACTORIALS)):
         fact *= k
         table.append(math.log(fact))
+    table += [math.lgamma(k + 1.0) for k in range(len(table), size)]
     return _readonly(np.array(table))
 
 

@@ -23,6 +23,7 @@ from .core import (
     _joint_tail,
     _operators,
     _poisson_tail,
+    _require_bytes,
     coherent_amplitudes,
     coherent_dim,
     mechanics_dim,
@@ -188,7 +189,11 @@ def coherent_amplitude_coeff(n, sign: int, t: float, params: ModelParams):
     if np.any(n < 0):
         raise ValueError("photon numbers must be >= 0")
     s = params.g * n + sign * params.lam
-    mag = coherent_amplitudes(params.alpha, int(n.max()) + 1)[n] / math.sqrt(2.0)
+    levels = int(n.max()) + 1
+    # traced, the amplitude table and its log-factorials peak at up to 108
+    # bytes per level (70,000 and 300,000 levels)
+    _require_bytes(128.0 * levels, f"coherent amplitudes up to n = {levels - 1}")
+    mag = coherent_amplitudes(params.alpha, levels)[n] / math.sqrt(2.0)
     return mag * _branch_phases(s, t, params.beta)
 
 

@@ -157,7 +157,15 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     return out
 
 
-def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
+def _require_open_bytes(d: int, liouvillian_bytes: float = 0.0) -> None:
+    """Raise MemoryError if the 16 d^2-sized complex vectors of an open
+    propagation at dimension d, plus `liouvillian_bytes`, would not fit in
+    physical memory."""
+    core._require_bytes(liouvillian_bytes + 16.0 * 16.0 * float(d) ** 2,
+                        f"the open sweep at dimension {d}")
+
+
+def _require_memory(h: sparse.csr_matrix, width: np.ndarray,
                     dissipators: Sequence[DissipatorSpec]) -> None:
     """Raise MemoryError if the kept Liouvillian of H and the channels
     `dissipators` and the propagation vectors would not fit in physical memory.
@@ -172,122 +180,94 @@ def _require_memory(h: sparse.csr_matrix, rank: np.ndarray,
     those gathered before it (<= E - n) and about 5 x 20 bytes of temporaries
     per entry of its own, E + 4n <= 3E.  Traced, the assembly peaks at
     1.8-1.9 x 20E bytes in a dressed cell and 2.8-3.3 x 20E in a lossless one
-    at 6 x 8 and 14 x 16, a gather's d^2-sized index arrays included.  Those,
-    the Chebyshev recurrence, the mirror fill and the checks are counted as
-    16 d^2-sized complex vectors.
+    at 6 x 8 and 14 x 16.  The Chebyshev recurrence, the mirror fill and the
+    checks are counted as 16 d^2-sized complex vectors (`_require_open_bytes`).
     """
     d = h.shape[0]
-    counts = np.bincount(rank).astype(float)
-    kept = 0.5 * (1.0 + (counts @ counts) / float(d) ** 2)
+    kept = float(width.sum()) / float(d) ** 2
     ops = [ch.operator for ch in dissipators]
     gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
     nnz = 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops)
-    core._require_bytes(3.0 * 20.0 * kept * nnz + 16.0 * 16.0 * float(d) ** 2,
-                        f"the open sweep at dimension {d}")
+    _require_open_bytes(d, 3.0 * 20.0 * kept * nnz)
 
 
-def _sector_rank(cspace: CompositeSpace, ops: Iterable[sparse.csr_matrix]) -> np.ndarray:
-    """Rank q * n_cav + n of each basis index's (qubit, photon) label (q, n),
-    or all zeros if some operator in `ops` does not shift that rank by one
-    constant.
+def _kept_width(cspace: CompositeSpace, ops: Iterable[sparse.csr_matrix]) -> np.ndarray:
+    """How many leading entries of each row i of rho are propagated:
+    (rank(i) + 1) n_mech, the entries (i, j) with rank(j) <= rank(i), or all
+    d if some operator in `ops` does not shift that rank by one constant.
 
-    Index i = (q, n, k) in row-major order has rank i // n_mech.  A rank
-    difference has the sign of (dq, dn) in lexicographic order, since |dn| <
-    n_cav.  When every operator shifts the rank by one constant, O rho O',
-    O'O rho and [H, rho] keep rank(i) - rank(j) of each entry (i, j), so the
-    Liouvillian has no entry between these sectors (Buča & Prosen, NJP 14
-    (2012) 073007; Albert & Jiang, PRA 89 (2014) 022118).  A channel that
-    breaks the label, such as a + a', leaves one sector: all of rho.
+    Index i = (q, n, k) in row-major order has the rank i // n_mech = q n_cav
+    + n of its (qubit, photon) label.  A rank difference has the sign of (dq,
+    dn) in lexicographic order, since |dn| < n_cav.  When every operator
+    shifts the rank by one constant, O rho O', O'O rho and [H, rho] keep
+    rank(i) - rank(j) of each entry (i, j), so the Liouvillian has no entry
+    between these sectors (Buča & Prosen, NJP 14 (2012) 073007; Albert &
+    Jiang, PRA 89 (2014) 022118), and each dropped entry is the conjugate of
+    its kept mirror, because rho stays Hermitian.  A channel that breaks the
+    label, such as a + a', leaves one sector: all of rho.
     """
-    rank = np.arange(cspace.dim) // cspace.n_mech
+    d, m = cspace.dim, cspace.n_mech
+    rank = np.arange(d) // m
     for op in ops:
         shift = (np.repeat(rank, np.diff(op.indptr)) - rank[op.indices])[op.data != 0]
         if shift.size and (shift != shift[0]).any():
-            return np.zeros_like(rank)
-    return rank
+            return np.full(d, d)
+    return (rank + 1) * m
 
 
-def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix, keep: np.ndarray,
-               pos: np.ndarray) -> sparse.csr_matrix:
-    """Rows and columns `keep` of kron(a, b), columns ascending in each row.
+def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix,
+               width: np.ndarray) -> sparse.csr_matrix:
+    """The kept rows and columns of kron(a, b): entry (i, j) is kept when
+    j < width[i], and the kept entries are numbered in row-major order, so
+    (k, l) is column off[k] + l with off the running sum of `width`.
 
     Row (i, j) of kron(a, b) holds a[i, k] b[j, l] at column (k, l), in
     ascending order; for sector-preserving a and b every such column is
-    kept, and `pos` (the index into `keep` of each column, -1 where
-    dropped) renumbers it without reordering a row.
+    kept, and the renumbering does not reorder a row.
     """
     from scipy import sparse
 
     a, b = (m if m.has_sorted_indices else m.sorted_indices() for m in (a.tocsr(), b.tocsr()))
-    d = a.shape[0]
-    i, j = np.divmod(keep, d)
+    off = np.zeros(width.size + 1, dtype=np.int64)
+    np.cumsum(width, out=off[1:])
+    i = np.repeat(np.arange(width.size), width)
+    j = np.arange(off[-1]) - off[i]
     nb = np.diff(b.indptr)[j]
     count = np.diff(a.indptr)[i] * nb
-    indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    indptr = np.zeros(off[-1] + 1, dtype=np.int64)
     np.cumsum(count, out=indptr[1:])
-    row = np.repeat(np.arange(keep.size), count)
+    row = np.repeat(np.arange(off[-1]), count)
     step, sub = np.divmod(np.arange(indptr[-1]) - indptr[row], nb[row])
     ka = a.indptr[i][row] + step
     kb = b.indptr[j][row] + sub
-    cols = pos[a.indices[ka] * d + b.indices[kb]]
-    if cols.size and cols.min() < 0:  # ruled out by _sector_rank; checked, not assumed
+    k, l = a.indices[ka], b.indices[kb]
+    if (l >= width[k]).any():  # ruled out by _kept_width; checked, not assumed
         raise AssertionError("an operator couples kept and dropped sectors")
-    return sparse.csr_matrix((a.data[ka] * b.data[kb], cols, indptr),
-                             shape=(keep.size, keep.size))
+    return sparse.csr_matrix((a.data[ka] * b.data[kb], off[k] + l, indptr),
+                             shape=(off[-1], off[-1]))
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """The Hamiltonian, its Bohr spread and the sector ranks with the kept
-    entries they select.
-
-    The kept entries (i, j) of vec(rho) are those with rank(i) >= rank(j);
-    each dropped entry is the conjugate of its kept mirror (j, i), because
-    rho stays Hermitian.  Nothing d^2-sized but `keep` and `pos` is held.
-    """
-
-    h: sparse.csr_matrix
-    spread: float
-    rank: np.ndarray
-    keep: np.ndarray  # ascending row-major indices i * d + j of the kept entries
-    pos: np.ndarray  # index into `keep` of each of the d^2 entries, -1 where dropped
-
-    @classmethod
-    def build(cls, params: ModelParams, cspace: CompositeSpace,
-              dissipators: Sequence[DissipatorSpec]) -> "_Frame":
-        """The frame for `params`' Hamiltonian and the channels `dissipators`,
-        or MemoryError before any d^2-sized allocation if they would not fit.
-        H keeps the (qubit, photon) label, so its spread is that of its 2 n_cav
-        diagonal n_mech x n_mech blocks; no dense d x d H is built."""
-        h = hamiltonian(params, cspace, as_sparse=True)
-        rank = _sector_rank(cspace, [h, *(ch.operator for ch in dissipators)])
-        _require_memory(h, rank, dissipators)
-        d, m = cspace.dim, cspace.n_mech
-        label, i = np.divmod(np.repeat(np.arange(d), np.diff(h.indptr)), m)
-        if (label != h.indices // m)[h.data != 0].any():  # checked, not assumed
-            raise AssertionError("the Hamiltonian couples two (qubit, photon) labels")
-        blocks = np.zeros((d // m, m, m), dtype=complex)
-        np.add.at(blocks, (label, i, h.indices % m), h.data)
-        energies = np.linalg.eigvalsh(blocks)
-        keep = np.flatnonzero(rank[:, None] >= rank[None, :])
-        pos = np.full(d * d, -1, dtype=keep.dtype)
-        pos[keep] = np.arange(keep.size)
-        return cls(h, float(energies.max() - energies.min()), rank, keep, pos)
-
-    def unfold(self, v: np.ndarray) -> np.ndarray:
-        """The d x d matrix of the kept entries `v`, each dropped entry filled
-        as the conjugate of its mirror."""
-        d = self.h.shape[0]
-        flat = np.zeros(d * d, dtype=complex)
-        flat[self.keep] = v
-        mat = flat.reshape(d, d)
-        return np.where(self.rank[:, None] >= self.rank[None, :], mat, mat.conj().T)
+def _bohr_spread(h: sparse.csr_matrix, cspace: CompositeSpace) -> float:
+    """E_max - E_min of H.  H keeps the (qubit, photon) label, so its spectrum
+    is that of its 2 n_cav diagonal n_mech x n_mech blocks, taken by one
+    batched `eigvalsh`; no dense d x d H is built."""
+    d, m = cspace.dim, cspace.n_mech
+    label, i = np.divmod(np.repeat(np.arange(d), np.diff(h.indptr)), m)
+    if (label != h.indices // m)[h.data != 0].any():  # checked, not assumed
+        raise AssertionError("the Hamiltonian couples two (qubit, photon) labels")
+    blocks = np.zeros((d // m, m, m), dtype=complex)
+    np.add.at(blocks, (label, i, h.indices % m), h.data)
+    energies = np.linalg.eigvalsh(blocks)
+    return float(energies.max() - energies.min())
 
 
-def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
-                 ) -> tuple[sparse.csr_matrix, float, float]:
-    """Kept rows and columns of the Liouvillian, the mean mu of the real
-    part of its whole diagonal, and a bound on its dissipative widening.
+def _liouvillian(params: ModelParams, cspace: CompositeSpace,
+                 dissipators: Sequence[DissipatorSpec]
+                 ) -> tuple[sparse.csr_matrix, np.ndarray, float, float]:
+    """Kept rows and columns of the Liouvillian of `params`' H and the
+    channels `dissipators`, the kept widths (`_kept_width`), the mean mu of
+    the real part of its whole diagonal and the Chebyshev radius; or
+    MemoryError before anything d^2-sized is built if they would not fit.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
     L = A kron I + I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k), with
@@ -301,12 +281,15 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
     conj(O_k) adds at most ||D||_1 <= sum_k 2 r_k ||O_k||_1 (||O_k||_inf +
     ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1 and ||O'||_1 = ||O||_inf;
-    the radius S plus this bound stays > 0 when S = 0.  The bound is measured
-    on d x d operators.
+    the radius, this bound plus S, stays > 0 when S = 0.  The bound is
+    measured on d x d operators.
     """
     from scipy import sparse
 
-    d = frame.h.shape[0]
+    h = hamiltonian(params, cspace, as_sparse=True)
+    width = _kept_width(cspace, [h, *(ch.operator for ch in dissipators)])
+    _require_memory(h, width, dissipators)
+    d = cspace.dim
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
     jump = None
@@ -314,17 +297,16 @@ def _liouvillian(frame: _Frame, dissipators: Sequence[DissipatorSpec]
     for ch in dissipators:
         o = ch.operator
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
-        term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), frame.keep, frame.pos)
+        term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), width)
         jump = term if jump is None else jump + term
         mu += 2.0 * ch.rate * abs(o.diagonal().mean()) ** 2
         mag = abs(o)
         col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
         bound += 2.0 * ch.rate * col * (row + col)
-    gen = -1j * frame.h - gain
-    lio = (_kept_kron(gen, eye, frame.keep, frame.pos)
-           + _kept_kron(eye, gen.conj(), frame.keep, frame.pos))
+    gen = -1j * h - gain
+    lio = _kept_kron(gen, eye, width) + _kept_kron(eye, gen.conj(), width)
     mu -= 2.0 * float(gain.diagonal().real.mean())
-    return (lio if jump is None else lio + jump), mu, bound
+    return (lio if jump is None else lio + jump), width, mu, bound + _bohr_spread(h, cspace)
 
 
 def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
@@ -406,13 +388,13 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     rank(i) - rank(j) of the entries (i, j) to itself, and the sectors below
     zero are the conjugates of their mirrors.  `integrate` takes the
     Hermitian part of `rho0` once, propagates its entries with rank(i) >=
-    rank(j) (4,992 of 9,216 at 6 x 8) and fills each other entry (i, j) as
-    conj(rho[j, i]).  A channel that breaks the label leaves one sector, and
-    all of rho is propagated.  Each propagated sample is then symmetrized
-    once and checked for trace drift and positivity; a sample at t = 0 is
-    `rho0` itself.  Sample times must be nonnegative and strictly
-    increasing.  Above physical memory it raises MemoryError before it
-    builds anything d^2-sized.
+    rank(j), a prefix of each row (4,992 of 9,216 at 6 x 8), and fills each
+    other entry (i, j) as conj(rho[j, i]).  A channel that breaks the label
+    leaves one sector, and all of rho is propagated.  Each propagated sample
+    is then symmetrized once and checked for trace drift and positivity; a
+    sample at t = 0 is `rho0` itself.  Sample times must be nonnegative and
+    strictly increasing.  Above physical memory it raises MemoryError before
+    it builds anything d^2-sized.
     """
     times = [float(t) for t in times]
     if not times:
@@ -422,18 +404,20 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     cspace = CompositeSpace.of(rho0.space)
     if dissipators is None:
         dissipators = build_dissipators(params, cspace)
-    frame = _Frame.build(params, cspace, dissipators)
-    lio, mu, bound = _liouvillian(frame, dissipators)
-    radius = frame.spread + bound
+    lio, width, mu, radius = _liouvillian(params, cspace, dissipators)
+    d = cspace.dim
+    kept = np.arange(d) < width[:, None]
     mat = rho0.matrix
-    kept = (0.5 * (mat + mat.conj().T)).reshape(-1)[frame.keep]
+    v = (0.5 * (mat + mat.conj().T))[kept]
     t_now = 0.0
     samples = []
     for target in times:
         if target > t_now:
-            mat = frame.unfold(_chebyshev_action(lio, mu, radius, target - t_now, kept))
+            mat = np.zeros((d, d), dtype=complex)
+            mat[kept] = _chebyshev_action(lio, mu, radius, target - t_now, v)
+            mat = np.where(kept, mat, mat.conj().T)
             mat = 0.5 * (mat + mat.conj().T)
-            kept = mat.reshape(-1)[frame.keep]
+            v = mat[kept]
             t_now = target
         tr = np.trace(mat).real
         if abs(tr - 1.0) > _TRACE_TOL:

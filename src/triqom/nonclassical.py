@@ -210,8 +210,12 @@ def _cycle(l: int, params: ModelParams, dim: int | None,
 def cavity_unconditional(l: int, params: ModelParams,
                          dim: int | None = None) -> DensityMatrix:
     """Cavity state after l periods with the qubit left unmeasured: the cavity
-    reduction of `qubit_cavity_at_cycle`."""
-    return partial_trace(_cycle(l, params, dim), ("cavity",))
+    reduction of `qubit_cavity_at_cycle`.  Raises MemoryError before the
+    complex dim x dim reduction if it would exceed physical memory."""
+    full = _cycle(l, params, dim)
+    n_cav = full.space.dims[1]
+    _require_bytes(16.0 * n_cav * n_cav, f"a cavity density of {n_cav} levels")
+    return partial_trace(full, ("cavity",))
 
 
 def _projected(l: int, params: ModelParams, sign: int,

@@ -629,11 +629,14 @@ class TestExitCodes:
                                                                monkeypatch):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
-        # the estimate for this 2 x 3 sweep is about 65 kB
+        # the estimate for this 2 x 3 sweep is about 65 kB; the propagation
+        # vectors alone refuse it before the d x d rho0 is built
         monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
+        calls = spy_calls(monkeypatch, triqom.core.tensor)
         code, out = _run(tmp_path, text)
-        assert code == 1
-        assert "error: problem too large for memory" in capsys.readouterr().err
+        assert code == 1 and calls == []
+        err = capsys.readouterr().err
+        assert "error: problem too large for memory: the open sweep at dimension 12" in err
         assert not (out / "sweep.csv").exists()
         monkeypatch.undo()
         code, out = _run(tmp_path, text)
@@ -653,14 +656,21 @@ class TestExitCodes:
         code, out = _run(tmp_path, text)
         assert code == 0 and (out / "entanglement.csv").exists()
 
-    def test_wigner_grid_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
-                                                                monkeypatch):
+    @pytest.mark.parametrize("size, budget, what, built", [
+        # the 17-level density (4,624 bytes) fits; the 21^2 grid (over 56 kB) does not
+        ("", 8192, "a Wigner grid of 441 points on 17 levels", 1),
+        # the 400-level density takes 2.56 MB and is refused before it is built
+        ("n_cav = 400\n", 16 * 400 ** 2 - 1, "a cavity density of 400 levels", 0),
+    ], ids=["grid", "density"])
+    def test_cat_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                       size, budget, what, built):
         text = ("scenario = cat-unconditional\ng = 0.5\nlambda = 0.5\nalpha = 1\n"
-                "grid_points = 21\n")
-        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
+                "grid_points = 21\n" + size)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: budget)
+        calls = spy_calls(monkeypatch, triqom.core.partial_trace)
         code, out = _run(tmp_path, text)
-        assert code == 1
-        assert "error: problem too large for memory" in capsys.readouterr().err
+        assert code == 1 and len(calls) == built
+        assert f"error: problem too large for memory: {what}" in capsys.readouterr().err
         assert not (out / "wigner.dat").exists()
         monkeypatch.undo()
         code, out = _run(tmp_path, text)

@@ -21,6 +21,7 @@ from triqom import (
     tensor,
     thermal_density,
 )
+from triqom.core import coherent_amplitudes
 from triqom.dynamics import (
     branch_shifts,
     coherent_amplitude_coeff,
@@ -36,6 +37,7 @@ from conftest import (
     dense_hamiltonian,
     eigh_propagate,
     schmidt_negativity,
+    spy_calls,
 )
 
 
@@ -216,6 +218,15 @@ class TestCoherentCoefficients:
         p = ModelParams(g=0.3, lam=0.2, alpha=1.5)
         with pytest.raises(ValueError, match="photon numbers must be integers"):
             coherent_amplitude_coeff(n, +1, 0.0, p)
+
+    def test_refuses_a_table_beyond_the_memory_budget(self, monkeypatch):
+        # one photon number of 10^6 sizes a table of 10^6 + 1 levels
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 128 * 10 ** 6)
+        calls = spy_calls(monkeypatch, coherent_amplitudes)
+        with pytest.raises(MemoryError, match="coherent amplitudes up to n = 1000000"):
+            coherent_amplitude_coeff(np.array([2, 10 ** 6]), +1, 0.0,
+                                     ModelParams(g=0.3, lam=0.2, alpha=1.5))
+        assert calls == []
 
     @pytest.mark.parametrize("n", [[], np.arange(0)])
     def test_empty_photon_numbers_give_an_empty_array(self, n):

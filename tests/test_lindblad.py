@@ -29,11 +29,11 @@ from triqom import (
 from scipy import sparse
 
 from triqom import core
-from triqom.core import destroy, embed, fock_state, number_op, sigma_minus, sigma_z
+from triqom.core import (_lift, _operators, destroy, embed, fock_state, number_op,
+                         sigma_minus, sigma_z)
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
-from triqom.lindblad import (DissipatorSpec, _Frame, _liouvillian, _require_memory,
-                             _sector_rank)
-import triqom.lindblad as lindblad
+from triqom.lindblad import (DissipatorSpec, _bohr_spread, _kept_kron, _kept_width,
+                             _liouvillian, _require_memory)
 
 from conftest import TWO_PI, random_density, spy_calls
 
@@ -262,14 +262,13 @@ class TestLiouvillian:
             "all_seven": build_dissipators(ALL_RATES, cs),
             "caller_csc": _caller_csc(cs),
         }[channels]
-        frame = _Frame.build(ALL_RATES, cs, diss)
-        got, mu, _ = _liouvillian(frame, diss)
+        got, width, mu, _ = _liouvillian(ALL_RATES, cs, diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
         # the label-breaking channel leaves one sector: every entry is kept
-        assert (frame.keep.size == cs.dim ** 2) == (channels == "caller_csc")
+        assert (width.sum() == cs.dim ** 2) == (channels == "caller_csc")
         assert got.has_sorted_indices
-        keep = np.ix_(frame.keep, frame.keep)
-        assert np.max(np.abs(got.toarray() - want[keep])) <= 1e-14
+        kept = np.flatnonzero(np.arange(cs.dim) < width[:, None])
+        assert np.max(np.abs(got.toarray() - want[np.ix_(kept, kept)])) <= 1e-14
         assert abs(mu - want.diagonal().real.mean()) <= 1e-15
 
     @pytest.mark.parametrize("dims", [(2, 3), (6, 8)])
@@ -282,7 +281,7 @@ class TestLiouvillian:
         full = _sparse_liouvillian(h, diss)
         if dims == (2, 3):
             assert np.max(np.abs(full.toarray() - _dense_liouvillian(ALL_RATES, cs, diss))) <= 1e-14
-        rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
+        rank = np.arange(d) // n_mech
         kept = (rank[:, None] >= rank[None, :]).reshape(-1)
         assert kept.sum() == (d * d + 2 * n_cav * n_mech ** 2) // 2
         if dims == (6, 8):
@@ -290,36 +289,70 @@ class TestLiouvillian:
         assert abs(full[kept][:, ~kept]).sum() == 0.0
         assert abs(full[~kept][:, kept]).sum() == 0.0
         # the assembled kept rows are that block of L, entry for entry
-        frame = _Frame.build(ALL_RATES, cs, diss)
-        got, mu, _ = _liouvillian(frame, diss)
-        assert np.array_equal(frame.keep, np.flatnonzero(kept))
+        got, width, mu, _ = _liouvillian(ALL_RATES, cs, diss)
+        assert np.array_equal(np.arange(d) < width[:, None], kept.reshape(d, d))
         assert abs(got - full[kept][:, kept]).max() <= 1e-15
         assert abs(mu - full.diagonal().real.mean()) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["a", "num_c", "b", "sz", "sm", "sx", "a+a'"])
+    def test_full_width_gather_is_the_kronecker_product(self, name):
+        # the operators of test_lift_is_the_kronecker_product_bit_for_bit
+        cs = CompositeSpace(2, 3)
+        dense = {"sx": (np.array([[0.0, 1.0], [1.0, 0.0]]), "qubit"),
+                 "a+a'": (destroy(2) + destroy(2).T, "cavity")}
+        if name in dense:
+            op = _lift(dense[name][0], cs, dense[name][1])
+        else:
+            op = _operators(cs, name)[0]
+        full = np.full(cs.dim, cs.dim)
+        eye = sparse.identity(cs.dim, format="csr", dtype=complex)
+        for a, b in [(op, op.conj()), (op, eye), (eye, op.conj())]:
+            got = _kept_kron(a, b, full)
+            want = sparse.kron(a, b, format="csr")
+            assert got.shape == want.shape
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
-class TestFrame:
+    def test_gather_refuses_an_operator_that_leaves_the_kept_entries(self):
+        cs = CompositeSpace(2, 3)
+        width = _kept_width(cs, [hamiltonian(ALL_RATES, cs, as_sparse=True)])
+        eye = sparse.identity(cs.dim, format="csr", dtype=complex)
+        with pytest.raises(AssertionError, match="couples kept and dropped"):
+            _kept_kron(eye, _caller_csc(cs)[0].operator, width)
+
+    @pytest.mark.parametrize("dims, kept, total", [((6, 8), 4992, 9216),
+                                                   ((14, 16), 103936, 200704)])
+    def test_kept_widths_are_the_readme_shares(self, dims, kept, total):
+        # read from the d x d operators, without building L
+        cs = CompositeSpace(*dims)
+        h = hamiltonian(ALL_RATES, cs, as_sparse=True)
+        width = _kept_width(cs, [h, *(ch.operator for ch in build_dissipators(ALL_RATES, cs))])
+        assert (width.sum(), cs.dim ** 2) == (kept, total)
+
+
+class TestBohrSpread:
     @pytest.mark.parametrize("dims, channels", [((2, 3), "all_seven"), ((6, 8), "all_seven"),
                                                 ((2, 3), "caller_csc")])
     def test_block_spread_equals_the_dense_spread(self, monkeypatch, dims, channels):
         cs = CompositeSpace(*dims)
         diss = build_dissipators(ALL_RATES, cs) if channels == "all_seven" else _caller_csc(cs)
-        energies = np.linalg.eigvalsh(hamiltonian(ALL_RATES, cs, as_sparse=True).toarray())
+        h = hamiltonian(ALL_RATES, cs, as_sparse=True)
+        energies = np.linalg.eigvalsh(h.toarray())
 
         def dense(self, *args, **kwargs):
-            raise AssertionError("the frame built a dense matrix")
+            raise AssertionError("the assembly built a dense matrix")
 
-        # the frame reads the spread from H's (q, n) blocks, never from the d x d H
+        # the spread comes from H's (q, n) blocks, never from the d x d H
         monkeypatch.setattr(sparse.csr_matrix, "toarray", dense)
-        frame = _Frame.build(ALL_RATES, cs, diss)
-        assert frame.spread == energies[-1] - energies[0]
+        _liouvillian(ALL_RATES, cs, diss)
+        assert _bohr_spread(h, cs) == energies[-1] - energies[0]
 
-    def test_rejects_a_hamiltonian_that_couples_two_labels(self, monkeypatch):
+    def test_rejects_a_hamiltonian_that_couples_two_labels(self):
         cs = CompositeSpace(2, 3)
         h = hamiltonian(ALL_RATES, cs, as_sparse=True).tolil()
         h[0, cs.n_mech] = h[cs.n_mech, 0] = 0.1  # |up, 0, 0> <-> |up, 1, 0>
-        monkeypatch.setattr(lindblad, "hamiltonian", lambda *args, **kwargs: h.tocsr())
         with pytest.raises(AssertionError, match="couples two"):
-            _Frame.build(ALL_RATES, cs, [])
+            _bohr_spread(h.tocsr(), cs)
 
 
 class TestMemoryEstimate:
@@ -342,11 +375,11 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         h = hamiltonian(p, cs, as_sparse=True)
-        rank = _sector_rank(cs, [h, *(ch.operator for ch in diss)])
-        _require_memory(h, rank, diss)
+        width = _kept_width(cs, [h, *(ch.operator for ch in diss)])
+        _require_memory(h, width, diss)
         monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
         with pytest.raises(MemoryError):
-            _require_memory(h, rank, diss)
+            _require_memory(h, width, diss)
 
 
 class TestIntegrate:
@@ -431,7 +464,7 @@ class TestIntegrate:
         # one self-mirrored sector: all of rho goes through the same propagator
         cs = CompositeSpace(2, 3)
         diss = _caller_csc(cs)
-        assert not _sector_rank(cs, [diss[0].operator]).any()
+        assert (_kept_width(cs, [diss[0].operator]) == cs.dim).all()
         _assert_matches_dense_exponential(ALL_RATES, cs, diss)
 
     def test_start_enters_as_its_hermitian_part(self):
@@ -528,7 +561,8 @@ class TestSweep:
         negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
         assert len(needs) == 2 and needs[0] < needs[1]
         monkeypatch.setattr(core, "_memory_budget", lambda: needs[0])
-        calls = spy_calls(monkeypatch, _liouvillian)
+        # the lossless first cell gathers -iH twice; the second refuses first
+        calls = spy_calls(monkeypatch, _kept_kron)
         with pytest.raises(MemoryError, match="open sweep"):
             negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
-        assert len(calls) == 1
+        assert len(calls) == 2

@@ -243,6 +243,14 @@ def test_log_factorials_match_gammaln():
     assert np.array_equal(_log_factorials(5), np.log([1.0, 1.0, 2.0, 6.0, 24.0]))
 
 
+@pytest.mark.parametrize("k", [2047, 2048, 2049, 3001, 4095])
+def test_log_factorials_past_the_exact_range_stay_within_two_ulp(k):
+    # entries from 2048 on are math.lgamma(k + 1), not the exact product
+    exact = math.log(math.factorial(k))
+    got = _log_factorials(4096)[k]
+    assert abs(got - exact) <= (0.0 if k < 2048 else 2.0) * math.ulp(exact)
+
+
 def test_cutoff_evaluates_each_tail_once():
     calls = []
     assert _cutoff(lambda n: calls.append(n) or (0.0 if n >= 100 else 1.0)) == 100
