@@ -208,15 +208,11 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # output files: 17 significant digits so reruns diff byte-identically
 
-def _write(out_dir: Path, manifest: dict, name: str, rows, header: str,
-           delimiter: str = ",") -> None:
-    """Write one data file of finite values and list it in the manifest."""
-    arr = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise IntegrationError("non-finite value in output data")
-    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
-        np.savetxt(f, arr, fmt="%.17g", delimiter=delimiter, header=header, comments="")
-    manifest["outputs"].append(name)
+def _write(path: Path, rows, header: str, delimiter: str) -> None:
+    """Write one data file of rows of floats."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        np.savetxt(f, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=delimiter,
+                   header=header, comments="")
 
 
 def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +247,7 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     return _family_space(cfg.params, _FAMILIES[cfg.scenario], cfg.n_cav, cfg.n_mech)
 
 
-def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
+def _run_entanglement(cfg: ScenarioConfig) -> tuple[dict, dict]:
     cspace = _closed_spaces(cfg)
     build, k = _family_series(_FAMILIES[cfg.scenario], cfg.params, cspace)
     rows, max_discard = _series(build, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
@@ -260,19 +256,18 @@ def _run_entanglement(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> Non
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
         log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)
-    _write(out_dir, manifest, "entanglement.csv", rows,
-           "t,neg_qc,neg_qo,neg_oc,intrinsic_qc")
-    manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
-    manifest["tail_weights"] = {"max_discarded_weight": max_discard}
-    manifest["results"] = {"neg_qc_final": float(rows[-1, 1]),
-                           "intrinsic_qc_final": float(rows[-1, 4])}
+    results = {"neg_qc_final": float(rows[-1, 1]), "intrinsic_qc_final": float(rows[-1, 4])}
     if cfg.scenario == "thermal-entanglement":
         # S_q + S_c - S_o is a pure-state measure; with thermal mechanics it
         # is offset by the mechanics' own linear entropy (-0.5 at t = 0, nbar = 0.5)
-        manifest["results"]["intrinsic_qc_offset_by_mech_entropy"] = True
+        results["intrinsic_qc_offset_by_mech_entropy"] = True
+    return ({"entanglement.csv": (rows, "t,neg_qc,neg_qo,neg_oc,intrinsic_qc", ",")},
+            {"truncations": {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech},
+             "tail_weights": {"max_discarded_weight": max_discard},
+             "results": results})
 
 
-def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
+def _run_open_sweep(cfg: ScenarioConfig) -> tuple[dict, dict]:
     params = cfg.params
     cspace = _closed_spaces(cfg)
     _require_open_bytes(cspace.dim)  # before the d x d rho0
@@ -288,14 +283,14 @@ def _run_open_sweep(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
 
     rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
                             t_cycle=t_cycle, progress=report)
-    _write(out_dir, manifest, "sweep.csv", rows, "Gamma,gamma_phi,neg_qc_2pi")
-    manifest["truncations"] = {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech}
-    manifest["tail_weights"] = {"rho0_discarded_weight": rho0.discarded_weight}
-    manifest["results"] = {"neg_qc_2pi_max": max(r[2] for r in rows),
-                           "neg_qc_2pi_min": min(r[2] for r in rows)}
+    return ({"sweep.csv": (rows, "Gamma,gamma_phi,neg_qc_2pi", ",")},
+            {"truncations": {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech},
+             "tail_weights": {"rho0_discarded_weight": rho0.discarded_weight},
+             "results": {"neg_qc_2pi_max": max(r[2] for r in rows),
+                         "neg_qc_2pi_min": min(r[2] for r in rows)}})
 
 
-def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
+def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
     params = cfg.params
     axis = default_axis(params.alpha, cfg.grid_points)
     r_max = axis[-1]  # lobes are counted out to the grid's half-width
@@ -306,14 +301,14 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     header = f"# x: {span}\n# y: {span}"
     results = {}
     if cfg.scenario == "cat-unconditional":
-        _write(out_dir, manifest, "wigner.dat", grid_unc.values, header, " ")
+        files = {"wigner.dat": (grid_unc.values, header, " ")}
         results["min_wigner"] = float(grid_unc.values.min())
         results["lobe_count"] = radial_lobe_count(unc, r_max)
     else:
         proj = projected_qubit_state(cfg.l, params, +1, cfg.n_cav)
         grid_proj = wigner(proj, axis, axis)
-        _write(out_dir, manifest, "wigner.dat", grid_proj.values, header, " ")
-        _write(out_dir, manifest, "wigner_unconditional.dat", grid_unc.values, header, " ")
+        files = {"wigner.dat": (grid_proj.values, header, " "),
+                 "wigner_unconditional.dat": (grid_unc.values, header, " ")}
         results["min_wigner"] = float(grid_proj.values.min())
         results["min_wigner_unconditional"] = float(grid_unc.values.min())
         results["projection_probability_plus"] = projection_probability(
@@ -323,12 +318,12 @@ def _run_cat(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
         results["lobe_count"] = radial_lobe_count(proj, r_max)
     log.info("  min Wigner value = %.6g", results["min_wigner"])
     log.info("  lobes above 10%% of peak = %d", results["lobe_count"])
-    manifest["truncations"] = {"n_cav": unc.space.dims[0]}
-    manifest["tail_weights"] = {"state_discarded_weight": unc.discarded_weight}
-    manifest["results"] = results
+    return files, {"truncations": {"n_cav": unc.space.dims[0]},
+                   "tail_weights": {"state_discarded_weight": unc.discarded_weight},
+                   "results": results}
 
 
-def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
+def _run_kitten(cfg: ScenarioConfig) -> tuple[dict, dict]:
     params = cfg.params
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     # the target's tail, not the state's, bounds the fidelity error
@@ -337,14 +332,17 @@ def _run_kitten(cfg: ScenarioConfig, out_dir: Path, manifest: dict) -> None:
     rows = [(float(g), fidelity(float(g))) for g in gs]
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
-    _write(out_dir, manifest, "fidelity.csv", rows, "g,fidelity")
-    manifest["truncations"] = {"n_cav": dim}
-    # every g's state keeps the cavity's exact Poisson tail (`qubit_cavity_at_cycle`)
-    manifest["tail_weights"] = {"max_discarded_weight": _poisson_tail(dim, params.alpha),
-                                "target_discarded_weight": target.discarded_weight}
-    manifest["results"] = {"g_best": rows[best][0], "fidelity_best": rows[best][1]}
+    return ({"fidelity.csv": (rows, "g,fidelity", ",")},
+            {"truncations": {"n_cav": dim},
+             # every g's state keeps the cavity's exact Poisson tail (`qubit_cavity_at_cycle`)
+             "tail_weights": {"max_discarded_weight": _poisson_tail(dim, params.alpha),
+                              "target_discarded_weight": target.discarded_weight},
+             "results": {"g_best": rows[best][0], "fidelity_best": rows[best][1]}})
 
 
+# each runner maps a config to its data files, name -> (rows, header,
+# delimiter) in the order they are listed, and its manifest's truncations,
+# tail_weights and results; it writes nothing
 _RUNNERS = {
     "fock-entanglement": _run_entanglement,
     "coherent-entanglement": _run_entanglement,
@@ -357,22 +355,25 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> dict:
-    """Execute one scenario, writing data files and manifest.json to out_dir.
+    """Execute one scenario, then write its data files and manifest.json to out_dir.
 
-    Progress goes to the `triqom.cli` logger at INFO level.
+    Nothing is written unless every output was computed and is finite: a
+    non-finite value raises IntegrationError before the first file.  Progress
+    goes to the `triqom.cli` logger at INFO level.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "scenario": cfg.scenario,
-        "version": __version__,
-        "config": cfg.echo,
-        "outputs": [],
-    }
     log.info("scenario %s -> %s", cfg.scenario, out)
-    _RUNNERS[cfg.scenario](cfg, out, manifest)
-    manifest["duration_seconds"] = round(time.perf_counter() - t0, 6)
+    files, sections = _RUNNERS[cfg.scenario](cfg)
+    if not all(np.isfinite(np.asarray(rows, dtype=float)).all()
+               for rows, _, _ in files.values()):
+        raise IntegrationError("non-finite value in output data")
+    for name, (rows, header, delimiter) in files.items():
+        _write(out / name, rows, header, delimiter)
+    manifest = {"scenario": cfg.scenario, "version": __version__, "config": cfg.echo,
+                "outputs": list(files), **sections,
+                "duration_seconds": round(time.perf_counter() - t0, 6)}
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

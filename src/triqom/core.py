@@ -192,10 +192,6 @@ class PureState:
             raise ValueError(f"amplitude length {vec.size} != space dim {self.space.dim}")
         object.__setattr__(self, "amplitudes", _readonly(vec))
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -205,11 +201,6 @@ class PureState:
     def density_matrix(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix(self.space, np.outer(v, v.conj()), self.discarded_weight)
-
-    def overlap(self, other: "PureState") -> complex:
-        if other.space != self.space:
-            raise ValueError("states live on different spaces")
-        return complex(np.vdot(other.amplitudes, self.amplitudes))
 
 
 _HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-10, 1e-8, -1e-8  # DensityMatrix.validate
@@ -229,10 +220,6 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
         object.__setattr__(self, "matrix", _readonly(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))

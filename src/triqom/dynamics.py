@@ -280,9 +280,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def _family_space(params: ModelParams, family: str, n_cav: int | None = None,
                   n_mech: int | None = None) -> CompositeSpace:

@@ -112,18 +112,24 @@ def negativity(state: PureState | DensityMatrix,
 
     `partition` may be a BipartitePartition or just the labels of one side
     (the other side is the complement).  0.5 for a maximally entangled pair.
+    Raises MemoryError before a pure state's density matrix is built if three
+    d x d complex arrays (that matrix, its Hermitian part and LAPACK's working
+    copy) would not fit in physical memory.
     """
-    rho = state.density_matrix() if isinstance(state, PureState) else state
+    if isinstance(state, PureState):
+        d = state.space.dim
+        core._require_bytes(3 * 16.0 * d * d, f"the negativity of a state of dimension {d}")
+        state = state.density_matrix()
     if isinstance(partition, BipartitePartition):
         side = partition.side_a
         declared = set(partition.side_a) | set(partition.side_b)
-        if declared != set(rho.space.labels):
+        if declared != set(state.space.labels):
             raise ValueError("partition does not cover the state's subsystems")
     else:
         side = tuple(partition)
-        if not side or set(side) >= set(rho.space.labels):
+        if not side or set(side) >= set(state.space.labels):
             raise ValueError("partition side must be a proper nonempty subset")
-    return float(_negativities(rho.matrix[None], rho.space, side)[0])
+    return float(_negativities(state.matrix[None], state.space, side)[0])
 
 
 def linear_entropy(state: PureState | DensityMatrix) -> float:

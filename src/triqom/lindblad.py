@@ -392,9 +392,9 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     other entry (i, j) as conj(rho[j, i]).  A channel that breaks the label
     leaves one sector, and all of rho is propagated.  Each propagated sample
     is then symmetrized once and checked for trace drift and positivity; a
-    sample at t = 0 is `rho0` itself.  Sample times must be nonnegative and
-    strictly increasing.  Above physical memory it raises MemoryError before
-    it builds anything d^2-sized.
+    sample at t = 0 is that Hermitian part of `rho0`.  Sample times must be
+    nonnegative and strictly increasing.  Above physical memory it raises
+    MemoryError before it builds anything d^2-sized.
     """
     times = [float(t) for t in times]
     if not times:
@@ -407,8 +407,8 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     lio, width, mu, radius = _liouvillian(params, cspace, dissipators)
     d = cspace.dim
     kept = np.arange(d) < width[:, None]
-    mat = rho0.matrix
-    v = (0.5 * (mat + mat.conj().T))[kept]
+    mat = 0.5 * (rho0.matrix + rho0.matrix.conj().T)
+    v = mat[kept]
     t_now = 0.0
     samples = []
     for target in times:

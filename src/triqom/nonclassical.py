@@ -77,9 +77,13 @@ class WignerGrid:
 
 
 def _cavity_matrix(state: PureState | DensityMatrix) -> np.ndarray:
+    """The density matrix of a single-mode state; a pure state's is built only
+    after a MemoryError check on its n^2 complex entries."""
     if len(state.space.labels) != 1:
         raise ValueError("Wigner tools take a single-mode state; reduce it first")
     if isinstance(state, PureState):
+        n = state.space.dim
+        _require_bytes(16.0 * n * n, f"a cavity density of {n} levels")
         state = state.density_matrix()
     return state.matrix
 

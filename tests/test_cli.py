@@ -14,10 +14,11 @@ import golden_outputs
 import triqom.cli
 import triqom.dynamics as dyn
 import triqom.entanglement as ent
-from triqom import (ModelParams, cavity_unconditional, displaced_fock, entanglement_record,
-                    evolve_coherent, evolve_fock_superposition, evolve_thermal)
+from triqom import (DensityMatrix, ModelParams, cavity_unconditional, displaced_fock,
+                    entanglement_record, evolve_coherent, evolve_fock_superposition,
+                    evolve_thermal)
 from triqom.cli import _KEYS, _closed_spaces, _write, main, parse_config, read_wigner
-from triqom.nonclassical import _axis, default_axis
+from triqom.nonclassical import WignerGrid, _axis, default_axis
 
 from conftest import spy_calls
 
@@ -175,11 +176,9 @@ class TestWrite:
 
     def test_csv_matches_the_per_value_format(self, tmp_path):
         rows = [self.EDGE, self.EDGE[::-1]]
-        manifest = {"outputs": []}
-        _write(tmp_path, manifest, "edge.csv", rows, "a,b,c,d,e,f,g")
+        _write(tmp_path / "edge.csv", rows, "a,b,c,d,e,f,g", ",")
         want = "a,b,c,d,e,f,g\n" + self._joined(rows, ",")
         assert (tmp_path / "edge.csv").read_bytes() == want.encode("utf-8")
-        assert manifest["outputs"] == ["edge.csv"]
 
     @pytest.mark.parametrize("n_rows", [2, 1])
     def test_grid_round_trips_bit_exact(self, tmp_path, n_rows):
@@ -189,8 +188,7 @@ class TestWrite:
         y = _axis(-1 / 3, 1 / 3, len(self.EDGE))
         header = (f"# x: {x[0]:.17g} {x[-1]:.17g} {x.size}\n"
                   f"# y: {y[0]:.17g} {y[-1]:.17g} {y.size}")
-        manifest = {"outputs": []}
-        _write(tmp_path, manifest, "w.dat", values, header, " ")
+        _write(tmp_path / "w.dat", values, header, " ")
         want = header + "\n" + self._joined(values, " ")
         assert (tmp_path / "w.dat").read_bytes() == want.encode("utf-8")
         gx, gy, got = read_wigner(tmp_path / "w.dat")
@@ -272,6 +270,33 @@ class TestRunScenarios:
         a = (out1 / "entanglement.csv").read_bytes()
         b = (out2 / "entanglement.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("scenario, outputs", [
+        ("fock-entanglement", ["entanglement.csv"]),
+        ("cat-conditional", ["wigner.dat", "wigner_unconditional.dat"]),
+        ("kitten-fidelity", ["fidelity.csv"]),
+    ])
+    def test_manifest_lists_the_files_written_in_order(self, tmp_path, scenario, outputs):
+        code, out = _run(tmp_path, SCENARIO_CFGS[scenario])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
+    def test_non_finite_output_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the unmeasured grid is computed first and listed last
+        real = triqom.cli.wigner
+
+        def wigner(state, x_axis, y_axis):
+            grid = real(state, x_axis, y_axis)
+            if isinstance(state, DensityMatrix):
+                return WignerGrid(grid.x_axis, grid.y_axis, np.full_like(grid.values, np.nan))
+            return grid
+
+        monkeypatch.setattr(triqom.cli, "wigner", wigner)
+        code, out = _run(tmp_path, SCENARIO_CFGS["cat-conditional"])
+        assert code == 2
+        assert "error: non-finite value in output data" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
 
     def test_thermal_series_runs(self, tmp_path):
         text = ("scenario = thermal-entanglement\ng = 0.2\nlambda = 0.25\n"

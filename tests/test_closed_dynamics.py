@@ -400,6 +400,28 @@ def test_trajectory_requires_increasing_times():
         Trajectory((0.0, 1.0, 0.5), (s, s, s))
 
 
+_P = ModelParams(g=0.1, lam=0.2)
+_REJECTED = {
+    # every kept amplitude of |beta = 40> underflows to zero on 2 levels
+    "lost to truncation": (lambda: evolve_fock_superposition(
+        0.0, ModelParams(g=0.1, lam=0.2, beta=40.0), CompositeSpace(2, 2)),
+        "state lost entirely to truncation"),
+    "one-level fock cavity": (lambda: evolve_fock_superposition(0.0, _P, CompositeSpace(1, 4)),
+                              "cavity truncation must be >= 2"),
+    "coefficient sign": (lambda: coherent_amplitude_coeff(1, 0, 0.0, _P),
+                         "sign must be [+]1 or -1"),
+    "trajectory length": (lambda: Trajectory((0.0, 1.0), (None,)),
+                          "times and states length mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_bad_inputs_are_rejected_by_name(name):
+    call, match = _REJECTED[name]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_default_space_families():
     p = ModelParams(g=0.2, lam=0.25, alpha=2.0, beta=1.0)
     assert default_composite_space(p, family="fock").n_cav == 2

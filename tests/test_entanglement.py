@@ -123,6 +123,8 @@ class TestNegativity:
         rho = DensityMatrix(space, np.eye(8, dtype=complex) / 8.0)
         with pytest.raises(ValueError):
             negativity(rho, part)  # does not cover mech
+        with pytest.raises(ValueError, match="proper nonempty subset"):
+            negativity(rho, ("qubit", "cavity", "mech"))
 
     def test_rejects_non_hermitian(self):
         space = Space(("qubit", "cavity"), (2, 2))
@@ -406,6 +408,20 @@ class TestStackedKernel:
         assert abs(state.norm() - 1.0) < 1e-12
         with pytest.raises(MemoryError, match="one sample of the series needs"):
             entanglement_record(state, 1.3)
+
+    def test_negativity_refuses_before_a_pure_density_matrix(self, monkeypatch):
+        # three complex 200 x 200 matrices take 1,920,000 bytes
+        state = tensor(qubit_state(1, 1), coherent_state(0.5, 10),
+                       fock_state(0, 10, label="mech"))
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1_919_999)
+        calls = []
+        monkeypatch.setattr(PureState, "density_matrix", lambda self: calls.append(self))
+        with pytest.raises(MemoryError, match="the negativity of a state of dimension 200"):
+            negativity(state, ("qubit",))
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 1_920_000)
+        assert negativity(state, ("qubit",)) < 1e-12
 
     def test_series_refuses_before_it_builds(self, monkeypatch):
         from triqom.dynamics import _family_series

@@ -28,7 +28,7 @@ from triqom import (
 )
 from scipy import sparse
 
-from triqom import core
+from triqom import core, lindblad
 from triqom.core import (_lift, _operators, destroy, embed, fock_state, number_op,
                          sigma_minus, sigma_z)
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
@@ -80,7 +80,8 @@ def _assert_matches_dense_exponential(p, cs, diss=None):
     rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
     times = [0.0, 0.3, TWO_PI, 20.0]
     traj = integrate(rho0, p, times, dissipators=diss)
-    assert np.array_equal(traj.states[0].matrix, rho0.matrix)
+    # the t = 0 sample is the Hermitian part that `integrate` propagates
+    assert np.array_equal(traj.states[0].matrix, 0.5 * (rho0.matrix + rho0.matrix.conj().T))
     for t, state in zip(times, traj.states):
         want = (expm(t * lio) @ rho0.matrix.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(state.matrix - want)) <= 1e-10
@@ -476,7 +477,7 @@ class TestIntegrate:
         bent = m + 1e-9 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
         herm = 0.5 * (bent + bent.conj().T)
         assert np.abs(bent - bent.conj().T).max() > 1e-10
-        times = [1.0, TWO_PI]
+        times = [0.0, 1.0, TWO_PI]
         got = integrate(DensityMatrix(cs.space, bent), p, times)
         want = integrate(DensityMatrix(cs.space, herm), p, times)
         for a, b in zip(got.states, want.states):
@@ -500,6 +501,26 @@ class TestIntegrate:
             integrate(rho0, p, [1.0, 0.5], OpenSystemConfig())
         with pytest.raises(ValueError):
             OpenSystemConfig(dt=0.0)
+
+
+def _bare_matrix_rhs(monkeypatch):
+    lindblad_rhs(np.eye(4) / 4, ModelParams(g=0.1, lam=0.2))
+
+
+def _drifting_trace(monkeypatch):
+    action = lindblad._chebyshev_action
+    monkeypatch.setattr(lindblad, "_chebyshev_action", lambda *args: 1.01 * action(*args))
+    p = ModelParams(g=0.1, lam=0.2, alpha=0.0, kappa=0.01)
+    integrate(sweep_initial_state(p, CompositeSpace(3, 4)), p, [0.5])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (_bare_matrix_rhs, ValueError, "cspace required when passing a bare matrix"),
+    (_drifting_trace, IntegrationError, r"trace drift 1\.000e-02 at t = 0\.500000 exceeds"),
+], ids=["bare matrix", "trace drift"])
+def test_failures_are_raised_by_name(monkeypatch, call, error, match):
+    with pytest.raises(error, match=match):
+        call(monkeypatch)
 
 
 class TestSweep:

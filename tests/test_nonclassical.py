@@ -29,7 +29,7 @@ from triqom import (
 )
 from triqom.core import displaced_fock
 from triqom.nonclassical import (_WIGNER_CELL_BYTES, _WIGNER_POINT_BYTES, WignerGrid,
-                                 default_axis)
+                                 _kitten_objective, default_axis)
 
 from conftest import (
     TWO_PI,
@@ -41,6 +41,7 @@ from conftest import (
 )
 
 INV_PI = 1.0 / math.pi
+_CAT = ModelParams(g=0.0125, lam=1.0, alpha=3.0)
 
 
 def yurke_stoler_wigner(params, l, p, points):
@@ -226,6 +227,22 @@ class TestWignerMemory:
         # axes with different |values| keep the |x| x |y| bound
         with pytest.raises(MemoryError, match="a Wigner grid of 1681 points"):
             wigner(state, ax, 1.5 * ax)
+
+
+    @pytest.mark.parametrize("read", [
+        lambda state: wigner(state, default_axis(3.0, 8), default_axis(3.0, 8)),
+        lambda state: fidelity_displaced_fock(state, 3.0, 1),
+        lambda state: _kitten_objective(_CAT, 10, 400)[0](0.0125),
+    ], ids=["wigner", "fidelity", "kitten objective"])
+    def test_pure_state_refuses_before_its_density_matrix(self, monkeypatch, read):
+        # the 400-level density takes 2.44 MiB
+        state = projected_qubit_state(10, _CAT, +1, 400)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 2 * 2 ** 20)
+        calls = []
+        monkeypatch.setattr(PureState, "density_matrix", lambda self: calls.append(self))
+        with pytest.raises(MemoryError, match="a cavity density of 400 levels"):
+            read(state)
+        assert calls == []
 
 
 class TestUnconditionalCavity:
@@ -417,7 +434,32 @@ class TestDisplacedFockFidelity:
             optimize_g_for_kitten(0.0, 1.0, 10, (0.002, 0.03))
 
 
+_REJECTED = {
+    "grid axes": (lambda: WignerGrid(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2))),
+                  "axes must be one-dimensional"),
+    "projection sign": (lambda: projected_qubit_state(1, ModelParams(g=0.1, lam=0.1), 0),
+                        "sign must be [+]1 or -1"),
+    "cat condition": (lambda: cat_condition(0.1, 0, 1), "l and p must be positive integers"),
+    "multimode fidelity": (lambda: fidelity_displaced_fock(
+        DensityMatrix(Space(("cavity", "mech"), (2, 2)), np.eye(4) / 4), 1.0, 1),
+        "fidelity target needs a single-mode state"),
+    "kitten range": (lambda: optimize_g_for_kitten(3.0, 1.0, 1, (0.02, 0.01)),
+                     "need 0 < g_lo < g_hi"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_bad_inputs_are_rejected_by_name(name):
+    call, match = _REJECTED[name]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestLobeCounter:
+    def test_no_positive_weight_counts_no_lobe(self):
+        # within r = 0.5 the one-photon Wigner function is negative at every angle
+        assert radial_lobe_count(fock_state(1, 4), 0.5) == 0
+
     def test_single_lobe_states(self):
         assert radial_lobe_count(fock_state(0, 10), r_max=5.0) == 1
         assert radial_lobe_count(coherent_state(2.0, 28), r_max=8.0) == 1

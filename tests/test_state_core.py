@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -389,6 +390,40 @@ def test_displaced_two_reports_the_exact_tail(alpha, dim):
     st = displaced_fock(alpha, 2, dim)
     assert st.discarded_weight == pytest.approx(displaced_two_tail_oracle(dim, alpha),
                                                 rel=1e-12, abs=0.0)
+
+
+_CELL = Space(("cavity",), (3,))
+_REJECTED = {
+    "unknown label": (lambda: Space(("bath",), (2,)), ValueError,
+                      r"unknown subsystem label\(s\) \['bath'\]"),
+    "duplicate label": (lambda: Space(("cavity", "cavity"), (2, 2)), ValueError,
+                        "duplicate subsystem labels"),
+    "dims length": (lambda: Space(("cavity",), (2, 3)), ValueError,
+                    "labels and dims length mismatch"),
+    "zero dim": (lambda: Space(("cavity",), (0,)), ValueError,
+                 r"dimensions must be positive, got \(0,\)"),
+    "amplitude length": (lambda: PureState(_CELL, np.ones(2)), ValueError,
+                         "amplitude length 2 != space dim 3"),
+    "matrix shape": (lambda: DensityMatrix(_CELL, np.eye(2)), ValueError,
+                     r"matrix shape \(2, 2\) != \(3, 3\)"),
+    "fock index": (lambda: fock_state(3, 3), ValueError, r"Fock index 3 outside \[0, 3\)"),
+    "zero qubit": (lambda: qubit_state(0, 0), ValueError, "zero qubit amplitudes"),
+    "displaced index": (lambda: displaced_fock(1.0, 4, 4), ValueError,
+                        r"Fock index 4 outside \[0, 4\)"),
+    "mixed tensor": (lambda: tensor(qubit_state(1, 0), fock_state(0, 3).density_matrix()),
+                     ValueError, "all PureState or all DensityMatrix"),
+    "trace type": (lambda: partial_trace(SimpleNamespace(space=_CELL), ("cavity",)),
+                   TypeError, "cannot trace object of type"),
+    "lift label": (lambda: embed(np.eye(2), CompositeSpace(2, 2), "bath"), ValueError,
+                   "unknown subsystem 'bath'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_bad_inputs_are_rejected_by_name(name):
+    call, error, match = _REJECTED[name]
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_displaced_fock_rejects_small_dim():
