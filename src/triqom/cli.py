@@ -23,6 +23,7 @@ from . import __version__
 from .core import (
     CompositeSpace,
     ModelParams,
+    _STATE_TAIL_TOL,
     _checked,
     _poisson_tail,
     coherent_state,
@@ -46,8 +47,8 @@ from .nonclassical import (
 
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "main"]
 
-# progress messages; `main` shows them on stdout unless --quiet
-log = logging.getLogger(__name__)
+# progress messages; not __name__, which is __main__ under `python -m triqom.cli`
+log = logging.getLogger("triqom.cli")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -239,8 +240,6 @@ def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the closed family of each scenario's initial state (the open sweep's is |beta>)
 _FAMILIES = {"fock-entanglement": "fock", "coherent-entanglement": "coherent",
              "thermal-entanglement": "thermal", "open-sweep": "coherent"}
-# a closed run refuses, with exit 2, a tail the state constructors would refuse
-_CLOSED_TAIL_TOL = 1e-6
 
 
 def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
@@ -252,7 +251,7 @@ def _run_entanglement(cfg: ScenarioConfig) -> tuple[dict, dict]:
     build, k = _family_series(_FAMILIES[cfg.scenario], cfg.params, cspace)
     rows, max_discard = _series(build, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
                                 cspace)
-    _checked(f"{cfg.scenario} state", max_discard, cspace.dim, _CLOSED_TAIL_TOL)
+    _checked(f"{cfg.scenario} state", max_discard, cspace.dim, _STATE_TAIL_TOL)
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
         log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)
@@ -275,14 +274,8 @@ def _run_open_sweep(cfg: ScenarioConfig) -> tuple[dict, dict]:
     cav = coherent_state(params.alpha, cspace.n_cav, label="cavity", tail_tol=1e-3)
     mech = coherent_state(params.beta, cspace.n_mech, label="mech", tail_tol=1e-3)
     rho0 = tensor(qubit_state(1.0, 1.0), cav, mech).density_matrix()
-    t_cycle = 2.0 * math.pi * cfg.l
-
-    def report(G, gphi, neg):
-        log.info("  Gamma = %g  gamma_phi = %g  ->  neg_qc(%d cycle) = %.6f",
-                 G, gphi, cfg.l, neg)
-
     rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
-                            t_cycle=t_cycle, progress=report)
+                            t_cycle=2.0 * math.pi * cfg.l)
     return ({"sweep.csv": (rows, "Gamma,gamma_phi,neg_qc_2pi", ",")},
             {"truncations": {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech},
              "tail_weights": {"rho0_discarded_weight": rho0.discarded_weight},
@@ -295,7 +288,7 @@ def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
     axis = default_axis(params.alpha, cfg.grid_points)
     r_max = axis[-1]  # lobes are counted out to the grid's half-width
     unc = cavity_unconditional(cfg.l, params, cfg.n_cav)
-    _checked(f"{cfg.scenario} cavity", unc.discarded_weight, unc.space.dim, _CLOSED_TAIL_TOL)
+    _checked(f"{cfg.scenario} cavity", unc.discarded_weight, unc.space.dim, _STATE_TAIL_TOL)
     grid_unc = wigner(unc, axis, axis)
     span = f"{axis[0]:.17g} {axis[-1]:.17g} {axis.size}"
     header = f"# x: {span}\n# y: {span}"
@@ -359,7 +352,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> dict
 
     Nothing is written unless every output was computed and is finite: a
     non-finite value raises IntegrationError before the first file.  Progress
-    goes to the `triqom.cli` logger at INFO level.
+    goes to the `triqom.cli` and `triqom.lindblad` loggers at INFO level.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir or ".")
@@ -406,13 +399,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # progress on stdout, or nowhere with --quiet; restored after the run
-    handler = logging.StreamHandler(sys.stdout)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    level = log.level
-    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    # all triqom progress on stdout, or nowhere with --quiet; restored after the run
+    package = logging.getLogger("triqom")
+    handler = logging.StreamHandler(sys.stdout)  # bare messages: the default format
+    level = package.level
+    package.setLevel(logging.WARNING if args.quiet else logging.INFO)
     if not args.quiet:
-        log.addHandler(handler)
+        package.addHandler(handler)
     try:
         run_scenario(cfg, args.out)
     except OSError as exc:
@@ -425,8 +418,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
+        package.removeHandler(handler)
+        package.setLevel(level)
     return 0
 
 

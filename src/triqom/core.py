@@ -180,14 +180,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector on a Space; immutable after construction."""
+    """Normalized state vector on a Space; immutable: it keeps its own read-only copy."""
 
     space: Space
     amplitudes: np.ndarray
     discarded_weight: float = 0.0
 
     def __post_init__(self):
-        vec = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
+        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.size != self.space.dim:
             raise ValueError(f"amplitude length {vec.size} != space dim {self.space.dim}")
         object.__setattr__(self, "amplitudes", _readonly(vec))
@@ -247,6 +247,7 @@ class DensityMatrix:
 
 _TAIL_EPS = 1e-14
 _MECH_CEILING = 600
+_STATE_TAIL_TOL = 1e-6  # the largest tail a state constructor, or a closed CLI run, accepts
 
 
 def _poisson_tail(n: int, alpha: complex) -> float:
@@ -420,7 +421,7 @@ def coherent_amplitudes(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
 
 
 def coherent_state(alpha: complex, dim: int, label: str = "cavity",
-                   tail_tol: float = 1e-6) -> PureState:
+                   tail_tol: float = _STATE_TAIL_TOL) -> PureState:
     """Truncated coherent state, renormalized, with the discarded tail recorded.
 
     Raises if the exact Poisson tail beyond `dim` exceeds `tail_tol`.
@@ -433,7 +434,7 @@ def coherent_state(alpha: complex, dim: int, label: str = "cavity",
 
 
 def thermal_density(nbar: float, dim: int, label: str = "mech",
-                    tail_tol: float = 1e-6) -> DensityMatrix:
+                    tail_tol: float = _STATE_TAIL_TOL) -> DensityMatrix:
     """Truncated thermal (geometric) state, renormalized, tail recorded."""
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
@@ -449,7 +450,7 @@ def thermal_density(nbar: float, dim: int, label: str = "mech",
 
 
 def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
-                   tail_tol: float = 1e-6) -> PureState:
+                   tail_tol: float = _STATE_TAIL_TOL) -> PureState:
     """Displaced Fock state D(alpha)|n> = (a' - conj(alpha))^n / sqrt(n!) |alpha>.
 
     n steps of that ladder recurrence, started from `coherent_amplitudes` on

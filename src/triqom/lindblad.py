@@ -8,9 +8,10 @@ rates carry the 1/ln((1+n_th)/n_th) thermal factor.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +45,8 @@ __all__ = [
     "sweep_initial_state",
     "negativity_sweep",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class IntegrationError(RuntimeError):
@@ -393,14 +396,15 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     leaves one sector, and all of rho is propagated.  Each propagated sample
     is then symmetrized once and checked for trace drift and positivity; a
     sample at t = 0 is that Hermitian part of `rho0`.  Sample times must be
-    nonnegative and strictly increasing.  Above physical memory it raises
-    MemoryError before it builds anything d^2-sized.
+    finite, nonnegative and strictly increasing.  Above physical memory it
+    raises MemoryError before it builds anything d^2-sized.
     """
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one sample time")
-    if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be nonnegative and strictly increasing")
+    if (not all(map(math.isfinite, times)) or times[0] < 0
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise ValueError("sample times must be finite, nonnegative and strictly increasing")
     cspace = CompositeSpace.of(rho0.space)
     if dissipators is None:
         dissipators = build_dissipators(params, cspace)
@@ -445,8 +449,7 @@ def sweep_initial_state(params: ModelParams, cspace: CompositeSpace) -> DensityM
 def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[float],
                      params: ModelParams, rho0: DensityMatrix,
                      t_cycle: float = 2.0 * math.pi,
-                     config: OpenSystemConfig | None = None,
-                     progress: Callable[[float, float, float], None] | None = None
+                     config: OpenSystemConfig | None = None
                      ) -> list[tuple[float, float, float]]:
     """Qubit-cavity negativity after one period for each (Gamma, gamma_phi) cell.
 
@@ -454,8 +457,8 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
     pinned, not re-derived from a bare rate).  Cells are independent, all
     starting from rho0; rows come out with Gamma as the outer loop.  Every
     cell's channels are built, and so every rate checked, before any cell
-    runs; each cell is then one `integrate` call over one period, which
-    raises MemoryError before it builds anything d^2-sized.
+    runs; each cell is then one `integrate` call over one period (MemoryError
+    before anything d^2-sized), logged at INFO to `triqom.lindblad` when done.
     """
     cspace = CompositeSpace.of(rho0.space)
     cells = [(float(big_gamma), float(gphi),
@@ -467,6 +470,6 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
         state = integrate(rho0, params, [t_cycle], config, dissipators=diss).states[-1]
         neg = negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
         rows.append((big_gamma, gphi, neg))
-        if progress is not None:
-            progress(big_gamma, gphi, neg)
+        log.info("  Gamma = %g  gamma_phi = %g  ->  neg_qc(t = %g) = %.6f",
+                 big_gamma, gphi, t_cycle, neg)
     return rows

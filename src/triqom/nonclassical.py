@@ -330,15 +330,17 @@ def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
                           coarse: int = 257) -> tuple[float, float]:
     """Coupling in `g_range` maximizing fidelity with D(alpha)|1> after projection.
 
-    Coarse scan, then bounded Brent (scipy's `minimize_scalar`) in the best
-    bracket to 1e-6 in g, at `kitten_dim`.  Raises if the objective is flat
-    over the range.
+    Coarse scan of `coarse` >= 2 points, then bounded Brent (scipy's
+    `minimize_scalar`) in the best bracket to 1e-6 in g, at `kitten_dim`.
+    Raises if the objective is flat over the range.
     """
     from scipy.optimize import minimize_scalar  # closed runs import numpy alone
 
     lo, hi = g_range
     if not (0 < lo < hi):
         raise ValueError("need 0 < g_lo < g_hi")
+    if not isinstance(coarse, (int, np.integer)) or coarse < 2:
+        raise ValueError(f"coarse must be an integer >= 2, got {coarse!r}")
     f, _ = _kitten_objective(ModelParams(g=lo, lam=lam, alpha=alpha), l, kitten_dim(alpha))
     gs = np.linspace(lo, hi, coarse)
     vals = np.array([f(g) for g in gs])

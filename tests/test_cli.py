@@ -14,6 +14,7 @@ import golden_outputs
 import triqom.cli
 import triqom.dynamics as dyn
 import triqom.entanglement as ent
+import triqom.lindblad
 from triqom import (DensityMatrix, ModelParams, cavity_unconditional, displaced_fock,
                     entanglement_record, evolve_coherent, evolve_fock_superposition,
                     evolve_thermal)
@@ -563,11 +564,68 @@ class TestProgress:
         assert all(r.levelno == logging.INFO for r in caplog.records)
 
     def test_quiet_silences_progress(self, tmp_path, capsys, caplog):
-        caplog.set_level(logging.INFO, logger="triqom.cli")
+        caplog.set_level(logging.INFO, logger="triqom")
         assert self._main(tmp_path, "--quiet") == 0
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
         assert not [r for r in caplog.records if r.name == "triqom.cli"]
+
+    # the 2 x 2 open-sweep config, at cutoffs that run in well under a second
+    SWEEP_CFG = SCENARIO_CFGS["open-sweep"] + "alpha = 0.8\nbeta = 0.5\nn_cav = 6\nn_mech = 8\n"
+    CELL = re.compile(r"  Gamma = (\S+)  gamma_phi = (\S+)  ->  "
+                      r"neg_qc\(t = 6\.28319\) = (\S+)$")
+
+    def _sweep_args(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.SWEEP_CFG, encoding="utf-8")
+        return ["run", str(cfg), "--out", str(tmp_path / "out")]
+
+    def _cells(self, tmp_path, stdout):
+        # each cell's line, checked against its row of sweep.csv, in row order
+        lines = [m.groups() for m in map(self.CELL.match, stdout.splitlines()) if m]
+        rows = np.loadtxt(tmp_path / "out" / "sweep.csv", delimiter=",", skiprows=1)
+        assert [(float(G), float(gphi)) for G, gphi, _ in lines] == \
+            [(1e-3, 0.0), (1e-3, 1e-2), (1e-2, 0.0), (1e-2, 1e-2)]
+        assert [tuple(map(float, line[:2])) for line in lines] == \
+            [tuple(row[:2]) for row in rows]
+        assert [line[2] for line in lines] == [f"{row[2]:.6f}" for row in rows]
+
+    def test_each_sweep_cell_is_logged_as_it_finishes(self, tmp_path, capsys, caplog,
+                                                       monkeypatch):
+        caplog.set_level(logging.INFO, logger="triqom")
+        integrate = triqom.lindblad.integrate
+        logged_before = []  # cell records already logged at each integrate call
+
+        def spy(*args, **kwargs):
+            logged_before.append(sum(r.name == "triqom.lindblad" for r in caplog.records))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(triqom.lindblad, "integrate", spy)
+        assert main(self._sweep_args(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        self._cells(tmp_path, captured.out)
+        cells = [r for r in caplog.records if r.name == "triqom.lindblad"]
+        assert [self.CELL.match(r.getMessage()) is not None for r in cells] == [True] * 4
+        assert all(r.levelno == logging.INFO for r in cells)
+        assert logged_before == [0, 1, 2, 3]
+
+    def test_quiet_silences_the_sweep_cells(self, tmp_path, capsys):
+        assert main([*self._sweep_args(tmp_path), "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_module_run_prints_every_progress_line(self, tmp_path):
+        # under `python -m triqom.cli` the CLI module is __main__, not triqom.cli
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-m", "triqom.cli", *self._sweep_args(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        lines = done.stdout.splitlines()
+        assert done.stderr == "" and len(lines) == 6
+        assert lines[0] == f"scenario open-sweep -> {tmp_path / 'out'}"
+        assert lines[-1].startswith("wrote sweep.csv and manifest.json in ")
+        self._cells(tmp_path, done.stdout)
 
 
 class TestExitCodes:

@@ -43,3 +43,30 @@ def test_module_imports_only_the_layers_below(module):
     assert edges <= LAYERS[module], f"{module} imports {sorted(edges - LAYERS[module])}"
     # every module above core does import it: the reader sees the edges
     assert module == "core" or "core" in edges
+
+
+def _print_calls(module: str) -> list[tuple[str, ast.Call]]:
+    """Every `print(...)` call in `module`, with the function it sits in."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            found.append((owner, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_progress_is_logged_not_printed():
+    # the library reports through `logging`; only `cli.main` prints, its errors
+    calls = {p.stem: _print_calls(p.stem) for p in SRC.glob("*.py")}
+    assert {m for m, found in calls.items() if found} == {"cli"}
+    assert [owner for owner, _ in calls["cli"]] == ["main"] * 5
+    for _, call in calls["cli"]:
+        assert [ast.unparse(k) for k in call.keywords] == ["file=sys.stderr"]

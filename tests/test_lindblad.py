@@ -523,6 +523,20 @@ def test_failures_are_raised_by_name(monkeypatch, call, error, match):
         call(monkeypatch)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_sample_times_are_rejected(monkeypatch, bad):
+    # nan used to return rho0 as its sample, and inf to overflow in the expansion
+    p = ModelParams(g=0.1, lam=0.2, alpha=0.0, kappa=0.01)
+    rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
+    builds = spy_calls(monkeypatch, lindblad._liouvillian)
+    for times in ([bad], [0.5, bad]):
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            integrate(rho0, p, times)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        negativity_sweep([0.0], [0.0], p, rho0, t_cycle=bad)
+    assert builds == []
+
+
 class TestSweep:
     def test_initial_state_structure(self):
         p = ModelParams(g=0.2, lam=0.25, alpha=1.0, n_th=0.4)

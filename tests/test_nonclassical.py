@@ -433,6 +433,14 @@ class TestDisplacedFockFidelity:
         with pytest.raises(ValueError, match="objective is flat"):
             optimize_g_for_kitten(0.0, 1.0, 10, (0.002, 0.03))
 
+    @pytest.mark.parametrize("coarse", [0, 1, 2.5])
+    def test_scan_needs_two_points(self, monkeypatch, coarse):
+        # 0 used to fail inside numpy and 1 as a false "flat objective"
+        calls = spy_calls(monkeypatch, _kitten_objective)
+        with pytest.raises(ValueError, match=r"coarse must be an integer >= 2"):
+            optimize_g_for_kitten(3.0, 1.0, 10, (0.002, 0.03), coarse=coarse)
+        assert calls == []
+
 
 _REJECTED = {
     "grid axes": (lambda: WignerGrid(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2))),

@@ -582,6 +582,14 @@ def test_pure_state_immutable():
     assert abs(st.norm() - 1.0) < 1e-12
 
 
+def test_pure_state_shares_no_buffer_with_its_caller():
+    x = np.zeros(2, dtype=complex)
+    st = PureState(Space(("qubit",), (2,)), x)
+    assert not np.shares_memory(st.amplitudes, x)
+    x[0] = 7.0  # the caller's array stays writable, and the state does not move
+    np.testing.assert_array_equal(st.amplitudes, [0.0, 0.0])
+
+
 def test_density_matrix_validation():
     sp = Space(("cavity",), (3,))
     good = np.diag([0.5, 0.3, 0.2]).astype(complex)
