@@ -554,14 +554,9 @@ def sigma_minus() -> np.ndarray:
 
 
 def _lift(op: np.ndarray, cspace: CompositeSpace, label: str) -> sparse.csr_matrix:
-    """CSR of a single-subsystem operator on the full composite space.
-
-    With n_l and n_r the dimensions before and after the subsystem, I kron op
-    kron I has row (a, p, b) equal to row p of op at columns (a, q, b), in
-    op's ascending column order.  The CSR is written from that by index
-    arithmetic: its indptr, int32 indices, data and sorted order are those
-    of scipy's CSR Kronecker product of the three factors, bit for bit.
-    """
+    """CSR of a single-subsystem operator on the full composite space: scipy's
+    Kronecker product I kron op kron I, with the identities of the subsystems
+    before and after `label`."""
     if label not in SUBSYSTEMS:
         raise ValueError(f"unknown subsystem {label!r}")
     k = SUBSYSTEMS.index(label)
@@ -572,17 +567,8 @@ def _lift(op: np.ndarray, cspace: CompositeSpace, label: str) -> sparse.csr_matr
     from scipy import sparse
 
     n_l, n_r = math.prod(cspace.dims[:k]), math.prod(cspace.dims[k + 1:])
-    op = sparse.csr_matrix(op, dtype=complex)
-    dim = n_l * d * n_r
-    p = np.arange(dim) // n_r % d  # op's row of each full row
-    count = np.diff(op.indptr)[p]
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(count, out=indptr[1:])
-    row = np.repeat(np.arange(dim), count)
-    entry = op.indptr[p[row]] + np.arange(indptr[-1]) - indptr[row]
-    cols = (row // (d * n_r) * d + op.indices[entry]) * n_r + row % n_r
-    return sparse.csr_matrix((op.data[entry], cols.astype(np.int32), indptr),
-                             shape=(dim, dim))
+    eye_l, eye_r = (sparse.identity(n, dtype=complex, format="csr") for n in (n_l, n_r))
+    return sparse.kron(eye_l, sparse.kron(sparse.csr_matrix(op, dtype=complex), eye_r), "csr")
 
 
 def embed(op: np.ndarray, cspace: CompositeSpace, label: str) -> np.ndarray:
@@ -592,13 +578,21 @@ def embed(op: np.ndarray, cspace: CompositeSpace, label: str) -> np.ndarray:
 
 def _operators(cspace: CompositeSpace, *names: str) -> list[sparse.csr_matrix]:
     """The model's single-mode operators lifted to CSR on `cspace`, by name:
-    a and num_c (cavity), b and num_m (mechanics), sz and sm (qubit)."""
-    make = {
-        "a": lambda: _lift(destroy(cspace.n_cav), cspace, "cavity"),
-        "num_c": lambda: _lift(number_op(cspace.n_cav), cspace, "cavity"),
-        "b": lambda: _lift(destroy(cspace.n_mech), cspace, "mech"),
-        "num_m": lambda: _lift(number_op(cspace.n_mech), cspace, "mech"),
-        "sz": lambda: _lift(sigma_z(), cspace, "qubit"),
-        "sm": lambda: _lift(sigma_minus(), cspace, "qubit"),
-    }
-    return [make[name]() for name in names]
+    a and num_c (cavity), b and num_m (mechanics), sz and sm (qubit).  All six
+    are lifted once per space and shared by every caller, read-only."""
+    table = _operator_table(cspace)
+    return [table[name] for name in names]
+
+
+@functools.lru_cache(maxsize=1)
+def _operator_table(cspace: CompositeSpace) -> dict[str, sparse.csr_matrix]:
+    table = {"a": _lift(destroy(cspace.n_cav), cspace, "cavity"),
+             "num_c": _lift(number_op(cspace.n_cav), cspace, "cavity"),
+             "b": _lift(destroy(cspace.n_mech), cspace, "mech"),
+             "num_m": _lift(number_op(cspace.n_mech), cspace, "mech"),
+             "sz": _lift(sigma_z(), cspace, "qubit"),
+             "sm": _lift(sigma_minus(), cspace, "qubit")}
+    for op in table.values():
+        for a in (op.data, op.indices, op.indptr):
+            _readonly(a)
+    return table

@@ -257,11 +257,12 @@ def _family_series(family: str, params: ModelParams, cspace: CompositeSpace):
     """(build, K) of a closed family's series for `entanglement._series`:
     build(ts) returns the (S, K, 2 n_cav, n_mech) amplitudes at the S times
     `ts` and their discarded weights, K = 1 for a pure family and n_mech for
-    the thermal purification.  build looks its builder up at each call."""
+    the thermal purification.  build looks its builder up and builds the
+    initial weights at each call, so a series `_chunks` refuses builds nothing."""
     if family == "thermal":
         return (lambda ts: _thermal_purification(ts, params, cspace)), cspace.n_mech
-    w = {"fock": _fock_weights, "coherent": _coherent_weights}[family](params, cspace.n_cav)
-    return (lambda ts: _branch_state(w, ts, params, cspace)), 1
+    weights = {"fock": _fock_weights, "coherent": _coherent_weights}[family]
+    return (lambda ts: _branch_state(weights(params, cspace.n_cav), ts, params, cspace)), 1
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .core import (
     tensor,
     thermal_density,
 )
-from .dynamics import Trajectory, hamiltonian
+from .dynamics import Trajectory, branch_shifts, hamiltonian
 from .entanglement import negativity
 
 if TYPE_CHECKING:  # scipy is imported by the functions that use it, at the first sweep
@@ -250,16 +250,16 @@ def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix,
                              shape=(off[-1], off[-1]))
 
 
-def _bohr_spread(h: sparse.csr_matrix, cspace: CompositeSpace) -> float:
+def _bohr_spread(params: ModelParams, cspace: CompositeSpace) -> float:
     """E_max - E_min of H.  H keeps the (qubit, photon) label, so its spectrum
-    is that of its 2 n_cav diagonal n_mech x n_mech blocks, taken by one
-    batched `eigvalsh`; no dense d x d H is built."""
-    d, m = cspace.dim, cspace.n_mech
-    label, i = np.divmod(np.repeat(np.arange(d), np.diff(h.indptr)), m)
-    if (label != h.indices // m)[h.data != 0].any():  # checked, not assumed
-        raise AssertionError("the Hamiltonian couples two (qubit, photon) labels")
-    blocks = np.zeros((d // m, m, m), dtype=complex)
-    np.add.at(blocks, (label, i, h.indices % m), h.data)
+    is that of its 2 n_cav diagonal blocks b'b - s (b + b'), s the joint pull
+    of `branch_shifts`, taken by one batched `eigvalsh`; no d x d H is built."""
+    m = cspace.n_mech
+    s = branch_shifts(params, cspace.n_cav)
+    i = np.arange(m)
+    blocks = np.zeros((s.size, m, m), dtype=complex)
+    blocks[:, i, i] = i
+    blocks[:, i[1:], i[:-1]] = blocks[:, i[:-1], i[1:]] = -np.outer(s, np.sqrt(i[1:]))
     energies = np.linalg.eigvalsh(blocks)
     return float(energies.max() - energies.min())
 
@@ -309,7 +309,7 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
     gen = -1j * h - gain
     lio = _kept_kron(gen, eye, width) + _kept_kron(eye, gen.conj(), width)
     mu -= 2.0 * float(gain.diagonal().real.mean())
-    return (lio if jump is None else lio + jump), width, mu, bound + _bohr_spread(h, cspace)
+    return (lio if jump is None else lio + jump), width, mu, bound + _bohr_spread(params, cspace)
 
 
 def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,

@@ -24,6 +24,7 @@ from .core import (
     Space,
     _log_factorials,
     _require_bytes,
+    coherent_dim,
     displaced_fock,
     kitten_dim,
     partial_trace,
@@ -214,12 +215,12 @@ def _cycle(l: int, params: ModelParams, dim: int | None,
 def cavity_unconditional(l: int, params: ModelParams,
                          dim: int | None = None) -> DensityMatrix:
     """Cavity state after l periods with the qubit left unmeasured: the cavity
-    reduction of `qubit_cavity_at_cycle`.  Raises MemoryError before the
-    complex dim x dim reduction if it would exceed physical memory."""
-    full = _cycle(l, params, dim)
-    n_cav = full.space.dims[1]
-    _require_bytes(16.0 * n_cav * n_cav, f"a cavity density of {n_cav} levels")
-    return partial_trace(full, ("cavity",))
+    reduction of `qubit_cavity_at_cycle`.  Raises MemoryError before any
+    amplitude is built if the complex dim x dim reduction would exceed
+    physical memory."""
+    n = coherent_dim(params.alpha) if dim is None else dim
+    _require_bytes(16.0 * n * n, f"a cavity density of {n} levels")
+    return partial_trace(_cycle(l, params, n), ("cavity",))
 
 
 def _projected(l: int, params: ModelParams, sign: int,
@@ -311,7 +312,8 @@ def _kitten_objective(params: ModelParams, l: int,
     """The kitten objective at `params` with its coupling left free: F(g) is
     the fidelity of the plus-projected cavity state after l periods at coupling
     g, on `dim` levels, with D(alpha)|1>.  That target depends on no g, so it
-    is built once, here, and returned with F."""
+    is built once, here, after the state's density check, and returned with F."""
+    _require_bytes(16.0 * dim * dim, f"a cavity density of {dim} levels")
     target = displaced_fock(params.alpha, 1, dim, label="cavity")
     t = target.amplitudes
 

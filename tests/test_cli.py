@@ -759,6 +759,24 @@ class TestExitCodes:
         code, out = _run(tmp_path, text)
         assert code == 0 and (out / "wigner.dat").exists()
 
+    @pytest.mark.parametrize("scenario, extra, what", [
+        ("coherent-entanglement", "g = 0.2\nn_mech = 5\nsamples = 2\n",
+         "one sample of the series"),
+        ("cat-unconditional", "g = 0.5\n", "a cavity density of 200000 levels"),
+        ("cat-conditional", "g = 0.5\n", "a cavity density of 200000 levels"),
+        ("kitten-fidelity", "g_samples = 3\n", "a cavity density of 200000 levels"),
+    ], ids=["coherent", "cat-unconditional", "cat-conditional", "kitten"])
+    def test_oversized_cavity_refuses_before_any_amplitude_table(
+            self, tmp_path, capsys, monkeypatch, scenario, extra, what):
+        # each run would build an amplitude table of 200,000 levels or more
+        text = f"scenario = {scenario}\nlambda = 0.25\nalpha = 1\nn_cav = 200000\n{extra}"
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 2 ** 20)
+        calls = spy_calls(monkeypatch, triqom.core.coherent_amplitudes)
+        code, out = _run(tmp_path, text)
+        assert code == 1 and calls == []
+        assert f"error: problem too large for memory: {what}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("scenario, sizes, data", [
         ("fock-entanglement", "beta = 3\nn_mech = 5\n", "entanglement.csv"),
         ("coherent-entanglement", "n_mech = 5\n", "entanglement.csv"),

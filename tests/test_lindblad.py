@@ -346,14 +346,7 @@ class TestBohrSpread:
         # the spread comes from H's (q, n) blocks, never from the d x d H
         monkeypatch.setattr(sparse.csr_matrix, "toarray", dense)
         _liouvillian(ALL_RATES, cs, diss)
-        assert _bohr_spread(h, cs) == energies[-1] - energies[0]
-
-    def test_rejects_a_hamiltonian_that_couples_two_labels(self):
-        cs = CompositeSpace(2, 3)
-        h = hamiltonian(ALL_RATES, cs, as_sparse=True).tolil()
-        h[0, cs.n_mech] = h[cs.n_mech, 0] = 0.1  # |up, 0, 0> <-> |up, 1, 0>
-        with pytest.raises(AssertionError, match="couples two"):
-            _bohr_spread(h.tocsr(), cs)
+        assert _bohr_spread(ALL_RATES, cs) == energies[-1] - energies[0]
 
 
 class TestMemoryEstimate:
@@ -584,6 +577,15 @@ class TestSweep:
             diss = build_dissipators(p.with_rates(Gamma=big_gamma), cs, dephasing_rate=gphi)
             state = integrate(rho0, p, [TWO_PI], dissipators=diss).states[-1]
             assert neg == negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
+
+    def test_a_sweep_lifts_each_operator_once(self, monkeypatch):
+        p = ModelParams(g=0.1, lam=0.25, alpha=0.05, kappa=0.01, gamma_m=1e-4)
+        rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
+        core._operator_table.cache_clear()
+        calls = spy_calls(monkeypatch, _lift)
+        negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
+        # a, num_c, b, num_m, sz and sm, shared by H and both cells' channels
+        assert len(calls) == 6
 
     def test_a_cell_refuses_before_it_builds(self, monkeypatch):
         # a lossless cell, then one with qubit decay, whose estimate is larger

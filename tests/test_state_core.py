@@ -59,6 +59,7 @@ from conftest import (
     destroy_dense,
     displacement_dense,
     random_density,
+    spy_calls,
 )
 
 
@@ -566,6 +567,25 @@ def test_lift_is_the_kronecker_product_bit_for_bit(dims, name):
     for field in ("indptr", "indices", "data"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_operators_are_lifted_once_per_space_and_read_only(monkeypatch):
+    core._operator_table.cache_clear()
+    calls = spy_calls(monkeypatch, _lift)
+    first = _operators(CompositeSpace(2, 3), *_NAMED)
+    assert len(calls) == len(_NAMED) == 6
+    # an equal space is served the same objects without lifting again
+    assert all(a is b for a, b in zip(first, _operators(CompositeSpace(2, 3), *_NAMED)))
+    assert len(calls) == 6
+    for op in first:
+        for field in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(op, field)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            op *= 2.0
+    # another space lifts its own six
+    other = _operators(CompositeSpace(3, 3), *_NAMED)
+    assert len(calls) == 12 and all(a.shape == (18, 18) for a in other)
 
 
 def test_embed_rejects_operator_of_wrong_size():
