@@ -258,7 +258,7 @@ def _poisson_tail(n: int, alpha: complex) -> float:
     away from p_n or p_{n-1}, the one term taken from `math.lgamma`, by the
     ratio x / k, and the sum stops once a term is below 2^-64 of the first.
     """
-    x = abs(alpha) ** 2
+    x = abs(alpha) * abs(alpha)  # inf past 1.3e154, where abs(alpha) ** 2 raises
     if not math.isfinite(x):
         return math.nan
     if n <= 0 or x == 0.0:
@@ -288,7 +288,7 @@ def _geometric_tail(n, nbar: float):
 def _displaced_one_tail(n, alpha: complex):
     """Weight of D(alpha)|1> beyond n levels, a Q(n-2) + (1-2a) Q(n-1) + a Q(n):
     level m holds p_m (m - a)^2 / a, with a = |alpha|^2 and Q the Poisson tail."""
-    a = abs(alpha) ** 2
+    a = abs(alpha) * abs(alpha)
     q = [_poisson_tail(k, alpha) if k >= 1 else 1.0 for k in (n - 2, n - 1, n)]
     return a * q[0] + (1.0 - 2.0 * a) * q[1] + a * q[2]
 

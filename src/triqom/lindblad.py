@@ -168,86 +168,26 @@ def _require_open_bytes(d: int, liouvillian_bytes: float = 0.0) -> None:
                         f"the open sweep at dimension {d}")
 
 
-def _require_memory(h: sparse.csr_matrix, width: np.ndarray,
-                    dissipators: Sequence[DissipatorSpec]) -> None:
-    """Raise MemoryError if the kept Liouvillian of H and the channels
-    `dissipators` and the propagation vectors would not fit in physical memory.
+def _require_memory(h: sparse.csr_matrix, dissipators: Sequence[DissipatorSpec]) -> None:
+    """Raise MemoryError if the Liouvillian of H and the channels `dissipators`
+    and the propagation vectors would not fit in physical memory.
 
-    The estimate uses only d x d operators.  With A = -iH - G, `_liouvillian`
-    gathers E <= 2 d nnz(A) + sum_k nnz(O_k)^2 entries of the full
-    Liouvillian, nnz(A) <= nnz(H) + sum_k nnz(O_k'O_k) and nnz(O'O) <=
-    sum_i (nnz of row i of O)^2; the kept share of the entries is taken to be
-    the kept share of vec(rho).  Each entry costs 20 bytes (complex value,
-    int32 column) and is counted three times: a sum holds at most 2E entries
-    (everything gathered and the sum), and a gather of n <= E/2 entries holds
-    those gathered before it (<= E - n) and about 5 x 20 bytes of temporaries
-    per entry of its own, E + 4n <= 3E.  Traced, the assembly peaks at
-    1.8-1.9 x 20E bytes in a dressed cell and 2.8-3.3 x 20E in a lossless one
-    at 6 x 8 and 14 x 16.  The Chebyshev recurrence, the mirror fill and the
-    checks are counted as 16 d^2-sized complex vectors (`_require_open_bytes`).
+    The estimate uses only d x d operators.  With A = -iH - G, L = A kron I +
+    I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k) has E <= 2 d nnz(A) +
+    sum_k nnz(O_k)^2 entries, nnz(A) <= nnz(H) + sum_k nnz(O_k'O_k) and
+    nnz(O'O) <= sum_i (nnz of row i of O)^2.  Each entry costs 20 bytes
+    (complex value, int32 column) and is counted three times, for the sum of
+    the Kronecker products, its operands and its slices.  The Chebyshev
+    recurrence, the mirror fill and the checks are counted as 16 d^2-sized
+    complex vectors (`_require_open_bytes`).  Traced, a whole `integrate`
+    call peaks at 0.74-0.76 x 20E bytes in a dressed cell and 2.1-3.1 x 20E
+    in a lossless one at 6 x 8 and 14 x 16, 1.7-4.5 times below the estimate.
     """
     d = h.shape[0]
-    kept = float(width.sum()) / float(d) ** 2
     ops = [ch.operator for ch in dissipators]
     gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
     nnz = 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops)
-    _require_open_bytes(d, 3.0 * 20.0 * kept * nnz)
-
-
-def _kept_width(cspace: CompositeSpace, ops: Iterable[sparse.csr_matrix]) -> np.ndarray:
-    """How many leading entries of each row i of rho are propagated:
-    (rank(i) + 1) n_mech, the entries (i, j) with rank(j) <= rank(i), or all
-    d if some operator in `ops` does not shift that rank by one constant.
-
-    Index i = (q, n, k) in row-major order has the rank i // n_mech = q n_cav
-    + n of its (qubit, photon) label.  A rank difference has the sign of (dq,
-    dn) in lexicographic order, since |dn| < n_cav.  When every operator
-    shifts the rank by one constant, O rho O', O'O rho and [H, rho] keep
-    rank(i) - rank(j) of each entry (i, j), so the Liouvillian has no entry
-    between these sectors (Buča & Prosen, NJP 14 (2012) 073007; Albert &
-    Jiang, PRA 89 (2014) 022118), and each dropped entry is the conjugate of
-    its kept mirror, because rho stays Hermitian.  A channel that breaks the
-    label, such as a + a', leaves one sector: all of rho.
-    """
-    d, m = cspace.dim, cspace.n_mech
-    rank = np.arange(d) // m
-    for op in ops:
-        shift = (np.repeat(rank, np.diff(op.indptr)) - rank[op.indices])[op.data != 0]
-        if shift.size and (shift != shift[0]).any():
-            return np.full(d, d)
-    return (rank + 1) * m
-
-
-def _kept_kron(a: sparse.spmatrix, b: sparse.spmatrix,
-               width: np.ndarray) -> sparse.csr_matrix:
-    """The kept rows and columns of kron(a, b): entry (i, j) is kept when
-    j < width[i], and the kept entries are numbered in row-major order, so
-    (k, l) is column off[k] + l with off the running sum of `width`.
-
-    Row (i, j) of kron(a, b) holds a[i, k] b[j, l] at column (k, l), in
-    ascending order; for sector-preserving a and b every such column is
-    kept, and the renumbering does not reorder a row.
-    """
-    from scipy import sparse
-
-    a, b = (m if m.has_sorted_indices else m.sorted_indices() for m in (a.tocsr(), b.tocsr()))
-    off = np.zeros(width.size + 1, dtype=np.int64)
-    np.cumsum(width, out=off[1:])
-    i = np.repeat(np.arange(width.size), width)
-    j = np.arange(off[-1]) - off[i]
-    nb = np.diff(b.indptr)[j]
-    count = np.diff(a.indptr)[i] * nb
-    indptr = np.zeros(off[-1] + 1, dtype=np.int64)
-    np.cumsum(count, out=indptr[1:])
-    row = np.repeat(np.arange(off[-1]), count)
-    step, sub = np.divmod(np.arange(indptr[-1]) - indptr[row], nb[row])
-    ka = a.indptr[i][row] + step
-    kb = b.indptr[j][row] + sub
-    k, l = a.indices[ka], b.indices[kb]
-    if (l >= width[k]).any():  # ruled out by _kept_width; checked, not assumed
-        raise AssertionError("an operator couples kept and dropped sectors")
-    return sparse.csr_matrix((a.data[ka] * b.data[kb], off[k] + l, indptr),
-                             shape=(off[-1], off[-1]))
+    _require_open_bytes(d, 3.0 * 20.0 * nnz)
 
 
 def _bohr_spread(params: ModelParams, cspace: CompositeSpace) -> float:
@@ -266,91 +206,97 @@ def _bohr_spread(params: ModelParams, cspace: CompositeSpace) -> float:
 
 def _liouvillian(params: ModelParams, cspace: CompositeSpace,
                  dissipators: Sequence[DissipatorSpec]
-                 ) -> tuple[sparse.csr_matrix, np.ndarray, float, float]:
-    """Kept rows and columns of the Liouvillian of `params`' H and the
-    channels `dissipators`, the kept widths (`_kept_width`), the mean mu of
-    the real part of its whole diagonal and the Chebyshev radius; or
-    MemoryError before anything d^2-sized is built if they would not fit.
+                 ) -> tuple[sparse.csr_matrix, np.ndarray, float, float, float]:
+    """The Liouvillian of `params`' H and the channels `dissipators` on the
+    entries of rho it propagates, the d x d mask of those entries, the mean
+    mu of the real part of its diagonal, the Bohr spread S of H and the bound
+    D on the 1-norm of its dissipative part; or MemoryError before anything
+    d^2-sized is built if they would not fit.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
-    L = A kron I + I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k), with
-    A = -i H - G and G = sum_k r_k O_k'O_k (zero in a lossless cell): one
-    `_kept_kron` gather per channel and two for A.  Re diag L at (i, j) is
-    -(G_ii + G_jj) + sum_k 2 r_k Re(O_k,ii conj(O_k,jj)), so its mean over
-    all d^2 entries is -2 mean(G_ii) + sum_k 2 r_k |mean(O_k,ii)|^2.
+    L = A kron I + I kron conj(A) + J, with A = -iH - G, G = sum_k r_k O_k'O_k
+    and J = sum_k 2 r_k O_k kron conj(O_k).  The kept entries (i, j) have
+    rank(i) >= rank(j), rank(i) = i // n_mech the (qubit, photon) label
+    (q, n) in lexicographic order.  H and the channels of `build_dissipators`
+    shift that rank by one constant, so L has no entry between a kept and a
+    dropped row (Buča & Prosen, NJP 14 (2012) 073007; Albert & Jiang, PRA 89
+    (2014) 022118), and each dropped entry is the conjugate of its kept
+    mirror, because rho stays Hermitian.  If a kept row of L has a dropped
+    column, as for a caller's label-breaking a + a', all of L is kept.
 
-    The commutator -i[H, .] has eigenvalues -i(E_j - E_k), so it fills
-    i[-S, S] with S = E_max - E_min, the Bohr spread of the truncated H.  The
-    dissipative rest D = -(G kron I + I kron conj(G)) + sum_k 2 r_k O_k kron
-    conj(O_k) adds at most ||D||_1 <= sum_k 2 r_k ||O_k||_1 (||O_k||_inf +
-    ||O_k||_1), by ||A kron B||_1 = ||A||_1 ||B||_1 and ||O'||_1 = ||O||_inf;
-    the radius, this bound plus S, stays > 0 when S = 0.  The bound is
-    measured on d x d operators.
+    The commutator -i[H, .] has eigenvalues -i(E_j - E_k) in i[-S, S]; the
+    dissipative rest -(G kron I + I kron conj(G)) + J has 1-norm at most
+    D = 2 ||G||_1 + ||J||_1, by ||A kron I||_1 = ||A||_1.
     """
     from scipy import sparse
 
     h = hamiltonian(params, cspace, as_sparse=True)
-    width = _kept_width(cspace, [h, *(ch.operator for ch in dissipators)])
-    _require_memory(h, width, dissipators)
+    _require_memory(h, dissipators)
     d = cspace.dim
     eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
     jump = None
-    mu = bound = 0.0
     for ch in dissipators:
         o = ch.operator
         gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
-        term = (2.0 * ch.rate) * _kept_kron(o, o.conj(), width)
+        term = (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
         jump = term if jump is None else jump + term
-        mu += 2.0 * ch.rate * abs(o.diagonal().mean()) ** 2
-        mag = abs(o)
-        col, row = mag.sum(axis=0).max(), mag.sum(axis=1).max()
-        bound += 2.0 * ch.rate * col * (row + col)
     gen = -1j * h - gain
-    lio = _kept_kron(gen, eye, width) + _kept_kron(eye, gen.conj(), width)
-    mu -= 2.0 * float(gain.diagonal().real.mean())
-    return (lio if jump is None else lio + jump), width, mu, bound + _bohr_spread(params, cspace)
+    lio = sparse.kron(gen, eye, format="csr") + sparse.kron(eye, gen.conj(), format="csr")
+    damping = 2.0 * abs(gain).sum(axis=0).max()
+    if jump is not None:
+        damping += abs(jump).sum(axis=0).max()
+        lio = lio + jump
+        del jump  # freed before the two slices of L
+    rank = np.arange(d) // cspace.n_mech
+    kept = rank[:, None] >= rank
+    rows = lio[kept.ravel()]
+    half = rows[:, kept.ravel()]
+    if half.nnz == rows.nnz:
+        lio = half
+    else:
+        kept[:] = True
+    mu = float(lio.diagonal().real.mean())
+    return lio, kept, mu, _bohr_spread(params, cspace), float(damping)
 
 
-def _chebyshev_action(lio: sparse.csr_matrix, mu: float, radius: float,
+def _chebyshev_action(scaled: sparse.csr_matrix, mu: float, radius: float,
                       span: float, v: np.ndarray) -> np.ndarray:
-    """exp(span * lio) @ v by the Chebyshev-Bessel expansion.
+    """exp(span * L) @ v by the Chebyshev-Bessel expansion, given the scaled
+    copy M = (2 / radius)(L - mu) of L.
 
-    Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967: with Y = (lio - mu) /
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967: with Y = (L - mu) /
     (i radius) and tau = span * radius,
-    exp(span lio) = e^{span mu} [J_0(tau) + 2 sum_{k>=1} i^k J_k(tau) T_k(Y)].
-    The vectors carry the i^k: U_k = i^k T_k(Y) v obeys U_{k+1} =
-    (2 / radius)(lio - mu) U_k + U_{k-1}, so mu and 1/(i radius) become two
-    real scalars of the recurrence and no scaled copy of `lio` is formed.
-    The series stops once k > tau and a term falls below 2^-53 of the
-    partial sum.
+    exp(span L) = e^{span mu} [J_0(tau) + 2 sum_{k>=1} i^k J_k(tau) T_k(Y)].
+    The vectors carry the i^k: U_k = i^k T_k(Y) v obeys U_{k+1} = M U_k +
+    U_{k-1}.  The series stops once k > tau and a term falls below 2^-53 of
+    the partial sum.
     """
     from scipy.special import jv
 
-    if radius == 0.0:  # H a multiple of the identity and no channel: lio = 0
+    if radius == 0.0:  # H a multiple of the identity and no channel: L = 0
         return v.copy()
     tau = span * radius
     # J_k(tau) decays faster than any exponential once k > tau; 2 tau + 64
     # terms take it far below 2^-53
     coef = 2.0 * jv(np.arange(2 * math.ceil(tau) + 64), tau)
-    s = 2.0 / radius
-    prev, cur = v, lio @ v
-    cur -= mu * v
-    cur *= 0.5 * s
+    prev, cur = v, 0.5 * (scaled @ v)
     out = (0.5 * coef[0]) * v + coef[1] * cur
-    tmp = np.empty_like(out)  # one scratch vector: fresh temporaries cost page faults
     for k in range(2, coef.size):
-        nxt = lio @ cur
-        nxt -= np.multiply(cur, mu, out=tmp)
-        nxt *= s
+        nxt = scaled @ cur
         nxt += prev
         prev, cur = cur, nxt
-        out += np.multiply(cur, coef[k], out=tmp)
+        out += coef[k] * cur
         if k > tau and coef[k] * np.abs(cur).max() <= 2.0 ** -53 * np.abs(out).max():
             return math.exp(span * mu) * out
     raise IntegrationError(f"Chebyshev series did not converge within {coef.size} terms "
                            f"(tau = {tau:.3g})")
 
+
+# every span is cut into pieces whose span x D stays within _DAMPING_PER_PIECE,
+# D the dissipative bound of `_liouvillian`: beyond it the expansion's terms
+# grow like e^{span D} until they overflow or swamp the sum
+_DAMPING_PER_PIECE = 100.0
 
 # every propagated sample must keep its trace within _TRACE_TOL of 1 and no
 # eigenvalue below _POSITIVITY_TOL
@@ -381,24 +327,27 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
 
     The generator does not depend on time, so each sample is exp((t_k -
     t_{k-1}) L) applied to the previous one, computed by the Chebyshev-Bessel
-    expansion of that action (`config.dt` plays no part).  Its cost is set by
-    the Bohr spread of the truncated H (plus a bound on the dissipative part
-    of L), not by the norm of L: about tau + O(tau^(1/3)) sparse products
-    for tau = (t_k - t_{k-1}) * radius.
+    expansion of that action (`config.dt` plays no part) on the scaled copy
+    M = (2 / R)(L - mu) of L, built once per call.  R = S + D is the Bohr
+    spread of the truncated H plus the bound on the 1-norm of the dissipative
+    part of L (`_liouvillian`), and mu the mean of Re diag L.  Its cost is
+    set by R, not by the norm of L: about tau + O(tau^(1/3)) sparse products
+    for tau = (t_k - t_{k-1}) R.  A span is cut into the fewest equal pieces
+    whose length times D is at most 100, since the expansion's terms grow
+    about like e^{span D}.
 
-    Only half of rho is propagated.  H and every channel shift the rank of
-    the (qubit, photon) label (q, n) by one constant, so L maps each sector
-    rank(i) - rank(j) of the entries (i, j) to itself, and the sectors below
-    zero are the conjugates of their mirrors.  `integrate` takes the
-    Hermitian part of `rho0` once, propagates its entries with rank(i) >=
-    rank(j), a prefix of each row (4,992 of 9,216 at 6 x 8), and fills each
-    other entry (i, j) as conj(rho[j, i]).  A channel that breaks the label
-    leaves one sector, and all of rho is propagated.  Each propagated sample
-    is then symmetrized once and checked for trace drift and positivity; a
-    sample at t = 0 is that Hermitian part of `rho0`.  Sample times must be
-    finite, nonnegative and strictly increasing.  Above physical memory it
-    raises MemoryError before it builds anything d^2-sized.
+    Only half of rho is propagated, the entries with rank(i) >= rank(j) of
+    `_liouvillian`'s mask (4,992 of 9,216 at 6 x 8), unless a channel breaks
+    the (qubit, photon) label and all of rho is.  `integrate` takes the
+    Hermitian part of `rho0` once and fills each dropped entry (i, j) as
+    conj(rho[j, i]).  Each propagated sample is then symmetrized once and
+    checked for trace drift and positivity; a sample at t = 0 is that
+    Hermitian part of `rho0`.  Sample times must be finite, nonnegative and
+    strictly increasing.  Above physical memory it raises MemoryError before
+    it builds anything d^2-sized.
     """
+    from scipy import sparse
+
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one sample time")
@@ -408,17 +357,23 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     cspace = CompositeSpace.of(rho0.space)
     if dissipators is None:
         dissipators = build_dissipators(params, cspace)
-    lio, width, mu, radius = _liouvillian(params, cspace, dissipators)
+    lio, kept, mu, spread, damping = _liouvillian(params, cspace, dissipators)
+    radius = spread + damping
+    if radius > 0.0:  # M replaces L; R = 0 only when L = 0, which takes no product
+        lio = (2.0 / radius) * (lio - mu * sparse.identity(lio.shape[0], format="csr"))
     d = cspace.dim
-    kept = np.arange(d) < width[:, None]
     mat = 0.5 * (rho0.matrix + rho0.matrix.conj().T)
     v = mat[kept]
     t_now = 0.0
     samples = []
     for target in times:
         if target > t_now:
+            span = target - t_now
+            pieces = max(1, math.ceil(span * damping / _DAMPING_PER_PIECE))
+            for _ in range(pieces):
+                v = _chebyshev_action(lio, mu, radius, span / pieces, v)
             mat = np.zeros((d, d), dtype=complex)
-            mat[kept] = _chebyshev_action(lio, mu, radius, target - t_now, v)
+            mat[kept] = v
             mat = np.where(kept, mat, mat.conj().T)
             mat = 0.5 * (mat + mat.conj().T)
             v = mat[kept]

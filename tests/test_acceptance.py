@@ -306,7 +306,7 @@ class TestShippedScenarios:
     """The configs under scenarios/ parse, and the quick ones run end to end."""
 
     QUICK = golden_outputs.QUICK
-    # coherent_series (about 17 s on 2 cores) and open_sweep (24-31 s) are
+    # coherent_series (about 12 s on 2 cores) and open_sweep (17-19 s) are
     # too slow for the suite; they are validated by parsing only (the physics
     # they produce is covered above at matched parameters)
     SLOW = ["coherent_series.cfg", "open_sweep.cfg"]

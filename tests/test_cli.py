@@ -653,6 +653,16 @@ class TestExitCodes:
         assert code == 1
         assert "key 'nbar'" in err and "nbar_mech" not in err
 
+    @pytest.mark.parametrize("text", [
+        "scenario = cat-unconditional\ng = 0.2\nlambda = 0.25\nalpha = 1e200\n",
+        "scenario = fock-entanglement\ng = 1e300\nlambda = 0.25\n",
+    ], ids=["cat_alpha", "fock_g"])
+    def test_an_oversized_amplitude_reports_no_cutoff(self, tmp_path, capsys, text):
+        # the tail's |alpha|^2 overflows to inf (through mechanics_dim for g)
+        code, _ = _run(tmp_path, text)
+        assert code == 2
+        assert "error: no cutoff reaches a tail" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 2\n"
                 "n_cav = 2\nn_mech = 4\n")
@@ -712,7 +722,7 @@ class TestExitCodes:
                                                                monkeypatch):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
-        # the estimate for this 2 x 3 sweep is about 65 kB; the propagation
+        # the estimate for this 2 x 3 sweep is about 82 kB; the propagation
         # vectors alone refuse it before the d x d rho0 is built
         monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
         calls = spy_calls(monkeypatch, triqom.core.tensor)

@@ -29,11 +29,9 @@ from triqom import (
 from scipy import sparse
 
 from triqom import core, lindblad
-from triqom.core import (_lift, _operators, destroy, embed, fock_state, number_op,
-                         sigma_minus, sigma_z)
+from triqom.core import _lift, destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
-from triqom.lindblad import (DissipatorSpec, _bohr_spread, _kept_kron, _kept_width,
-                             _liouvillian, _require_memory)
+from triqom.lindblad import DissipatorSpec, _bohr_spread, _liouvillian, _require_memory
 
 from conftest import TWO_PI, random_density, spy_calls
 
@@ -71,14 +69,13 @@ def _sparse_liouvillian(h, diss):
     return (-1j * (sparse.kron(h_eff, eye) - sparse.kron(eye, h_eff.conj())) + jump).tocsr()
 
 
-def _assert_matches_dense_exponential(p, cs, diss=None):
+def _assert_matches_dense_exponential(p, cs, diss=None, times=(0.0, 0.3, TWO_PI, 20.0)):
     from scipy.linalg import expm
     if diss is None:
         diss = build_dissipators(p, cs)
     d = cs.dim
     lio = _dense_liouvillian(p, cs, diss)
     rho0 = DensityMatrix(cs.space, random_density(d, np.random.default_rng(3)))
-    times = [0.0, 0.3, TWO_PI, 20.0]
     traj = integrate(rho0, p, times, dissipators=diss)
     # the t = 0 sample is the Hermitian part that `integrate` propagates
     assert np.array_equal(traj.states[0].matrix, 0.5 * (rho0.matrix + rho0.matrix.conj().T))
@@ -263,14 +260,16 @@ class TestLiouvillian:
             "all_seven": build_dissipators(ALL_RATES, cs),
             "caller_csc": _caller_csc(cs),
         }[channels]
-        got, width, mu, _ = _liouvillian(ALL_RATES, cs, diss)
+        got, mask, mu, _, _ = _liouvillian(ALL_RATES, cs, diss)
         want = _dense_liouvillian(ALL_RATES, cs, diss)
         # the label-breaking channel leaves one sector: every entry is kept
-        assert (width.sum() == cs.dim ** 2) == (channels == "caller_csc")
+        assert mask.all() == (channels == "caller_csc")
         assert got.has_sorted_indices
-        kept = np.flatnonzero(np.arange(cs.dim) < width[:, None])
-        assert np.max(np.abs(got.toarray() - want[np.ix_(kept, kept)])) <= 1e-14
-        assert abs(mu - want.diagonal().real.mean()) <= 1e-15
+        kept = np.flatnonzero(mask)
+        block = want[np.ix_(kept, kept)]
+        assert np.max(np.abs(got.toarray() - block)) <= 1e-14
+        # mu is the mean of the propagated block's diagonal
+        assert abs(mu - block.diagonal().real.mean()) <= 1e-15
 
     @pytest.mark.parametrize("dims", [(2, 3), (6, 8)])
     def test_no_entry_between_kept_and_dropped_rows(self, dims):
@@ -289,46 +288,20 @@ class TestLiouvillian:
             assert kept.sum() == 4992 and d * d == 9216
         assert abs(full[kept][:, ~kept]).sum() == 0.0
         assert abs(full[~kept][:, kept]).sum() == 0.0
-        # the assembled kept rows are that block of L, entry for entry
-        got, width, mu, _ = _liouvillian(ALL_RATES, cs, diss)
-        assert np.array_equal(np.arange(d) < width[:, None], kept.reshape(d, d))
-        assert abs(got - full[kept][:, kept]).max() <= 1e-15
-        assert abs(mu - full.diagonal().real.mean()) <= 1e-15
-
-    @pytest.mark.parametrize("name", ["a", "num_c", "b", "sz", "sm", "sx", "a+a'"])
-    def test_full_width_gather_is_the_kronecker_product(self, name):
-        # the operators of test_lift_is_the_kronecker_product_bit_for_bit
-        cs = CompositeSpace(2, 3)
-        dense = {"sx": (np.array([[0.0, 1.0], [1.0, 0.0]]), "qubit"),
-                 "a+a'": (destroy(2) + destroy(2).T, "cavity")}
-        if name in dense:
-            op = _lift(dense[name][0], cs, dense[name][1])
-        else:
-            op = _operators(cs, name)[0]
-        full = np.full(cs.dim, cs.dim)
-        eye = sparse.identity(cs.dim, format="csr", dtype=complex)
-        for a, b in [(op, op.conj()), (op, eye), (eye, op.conj())]:
-            got = _kept_kron(a, b, full)
-            want = sparse.kron(a, b, format="csr")
-            assert got.shape == want.shape
-            for field in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
-
-    def test_gather_refuses_an_operator_that_leaves_the_kept_entries(self):
-        cs = CompositeSpace(2, 3)
-        width = _kept_width(cs, [hamiltonian(ALL_RATES, cs, as_sparse=True)])
-        eye = sparse.identity(cs.dim, format="csr", dtype=complex)
-        with pytest.raises(AssertionError, match="couples kept and dropped"):
-            _kept_kron(eye, _caller_csc(cs)[0].operator, width)
+        # the assembled kept block is that block of L, bit for bit
+        got, mask, mu, _, _ = _liouvillian(ALL_RATES, cs, diss)
+        assert np.array_equal(mask, kept.reshape(d, d))
+        want = full[kept][:, kept]
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert mu == want.diagonal().real.mean()
 
     @pytest.mark.parametrize("dims, kept, total", [((6, 8), 4992, 9216),
                                                    ((14, 16), 103936, 200704)])
     def test_kept_widths_are_the_readme_shares(self, dims, kept, total):
-        # read from the d x d operators, without building L
         cs = CompositeSpace(*dims)
-        h = hamiltonian(ALL_RATES, cs, as_sparse=True)
-        width = _kept_width(cs, [h, *(ch.operator for ch in build_dissipators(ALL_RATES, cs))])
-        assert (width.sum(), cs.dim ** 2) == (kept, total)
+        mask = _liouvillian(ALL_RATES, cs, build_dissipators(ALL_RATES, cs))[1]
+        assert (mask.sum(), mask.size) == (kept, total)
 
 
 class TestBohrSpread:
@@ -351,17 +324,25 @@ class TestBohrSpread:
 
 class TestMemoryEstimate:
     def test_estimate_exceeds_the_traced_peak_of_a_dressed_cell(self, monkeypatch):
+        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed=True)
+
+    def test_estimate_exceeds_the_traced_peak_of_a_lossless_cell(self, monkeypatch):
+        # assembly has its largest share of the peak here
+        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed=False)
+
+    @staticmethod
+    def _assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed):
+        # the open-cell benchmark's cells at 6 x 8: every channel on, or none
         import tracemalloc
 
-        # the open-cell benchmark's dressed cell: 6 x 8, every channel on
-        p = ModelParams(g=0.2, lam=0.25, alpha=1.0, beta=0.5, kappa=1e-2, gamma_m=1e-5,
-                        Gamma=1e-3, n_th=10.0, n_q=10.0)
+        rates = dict(kappa=1e-2, gamma_m=1e-5, Gamma=1e-3, n_th=10.0, n_q=10.0) if dressed else {}
+        p = ModelParams(g=0.2, lam=0.25, alpha=1.0, beta=0.5, **rates)
         cs = CompositeSpace(6, 8)
         rho0 = tensor(qubit_state(1.0, 1.0),
                       coherent_state(1.0, 6, label="cavity", tail_tol=1e-3),
                       coherent_state(0.5, 8, label="mech", tail_tol=1e-3)).density_matrix()
-        diss = build_dissipators(p, cs, dephasing_rate=1e-2)
-        assert len(diss) == 7
+        diss = build_dissipators(p, cs, dephasing_rate=1e-2 if dressed else 0.0)
+        assert len(diss) == (7 if dressed else 0)
         tracemalloc.start()
         try:
             integrate(rho0, p, [TWO_PI], dissipators=diss)
@@ -369,11 +350,10 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         h = hamiltonian(p, cs, as_sparse=True)
-        width = _kept_width(cs, [h, *(ch.operator for ch in diss)])
-        _require_memory(h, width, diss)
+        _require_memory(h, diss)
         monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
         with pytest.raises(MemoryError):
-            _require_memory(h, width, diss)
+            _require_memory(h, diss)
 
 
 class TestIntegrate:
@@ -454,11 +434,24 @@ class TestIntegrate:
             assert spread == 0.0 and (norm1 > 0.0) == (case == "zero_spread")
         _assert_matches_dense_exponential(p, cs)
 
+    @pytest.mark.parametrize("gamma_phi, cycles", [(1.0, 50), (100.0, 1)],
+                             ids=["long_span", "strong_dephasing"])
+    def test_long_or_strongly_dissipative_span_matches_dense_exponential(self, gamma_phi,
+                                                                         cycles):
+        # open-sweep cells whose one-piece expansion overflows: the span times
+        # the dissipative bound D of `_liouvillian` is 628 and 1257, above the
+        # 100 that one piece may carry
+        p = ModelParams(g=0.2, lam=0.25, alpha=0.05, beta=0.05, Gamma_phi=gamma_phi)
+        cs = CompositeSpace(3, 4)
+        span = TWO_PI * cycles
+        assert span * _liouvillian(p, cs, build_dissipators(p, cs))[4] > 600.0
+        _assert_matches_dense_exponential(p, cs, times=(0.0, span))
+
     def test_label_breaking_channel_matches_dense_exponential(self):
         # one self-mirrored sector: all of rho goes through the same propagator
         cs = CompositeSpace(2, 3)
         diss = _caller_csc(cs)
-        assert (_kept_width(cs, [diss[0].operator]) == cs.dim).all()
+        assert _liouvillian(ALL_RATES, cs, diss)[1].all()
         _assert_matches_dense_exponential(ALL_RATES, cs, diss)
 
     def test_start_enters_as_its_hermitian_part(self):
@@ -598,8 +591,12 @@ class TestSweep:
         negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
         assert len(needs) == 2 and needs[0] < needs[1]
         monkeypatch.setattr(core, "_memory_budget", lambda: needs[0])
-        # the lossless first cell gathers -iH twice; the second refuses first
-        calls = spy_calls(monkeypatch, _kept_kron)
+        # the lossless first cell takes two Kronecker products of -iH; the
+        # second refuses before its first
+        calls = []
+        kron = sparse.kron
+        monkeypatch.setattr(sparse, "kron", lambda *args, **kwargs:
+                            calls.append(args) or kron(*args, **kwargs))
         with pytest.raises(MemoryError, match="open sweep"):
             negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
         assert len(calls) == 2

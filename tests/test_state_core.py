@@ -305,6 +305,13 @@ def test_non_finite_inputs_fail_closed(name):
         _NON_FINITE[name]()
 
 
+@pytest.mark.parametrize("dim", [coherent_dim, kitten_dim])
+def test_an_amplitude_whose_square_overflows_has_no_cutoff(dim):
+    # |alpha|^2 is inf: no cutoff is found, and no OverflowError escapes
+    with pytest.raises(ValueError, match="no cutoff reaches a tail"):
+        dim(1e200)
+
+
 def test_thermal_density_zero_temperature():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # log 0 must not be evaluated
