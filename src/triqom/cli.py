@@ -292,23 +292,19 @@ def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
     grid_unc = wigner(unc, axis, axis)
     span = f"{axis[0]:.17g} {axis[-1]:.17g} {axis.size}"
     header = f"# x: {span}\n# y: {span}"
-    results = {}
-    if cfg.scenario == "cat-unconditional":
-        files = {"wigner.dat": (grid_unc.values, header, " ")}
-        results["min_wigner"] = float(grid_unc.values.min())
-        results["lobe_count"] = radial_lobe_count(unc, r_max)
-    else:
-        proj = projected_qubit_state(cfg.l, params, +1, cfg.n_cav)
-        grid_proj = wigner(proj, axis, axis)
-        files = {"wigner.dat": (grid_proj.values, header, " "),
-                 "wigner_unconditional.dat": (grid_unc.values, header, " ")}
-        results["min_wigner"] = float(grid_proj.values.min())
-        results["min_wigner_unconditional"] = float(grid_unc.values.min())
-        results["projection_probability_plus"] = projection_probability(
-            cfg.l, params, +1, cfg.n_cav)
-        results["projection_probability_minus"] = projection_probability(
-            cfg.l, params, -1, cfg.n_cav)
-        results["lobe_count"] = radial_lobe_count(proj, r_max)
+    state, grid, extra, results = unc, grid_unc, {}, {}
+    if cfg.scenario == "cat-conditional":
+        state = projected_qubit_state(cfg.l, params, +1, cfg.n_cav)
+        grid = wigner(state, axis, axis)
+        extra = {"wigner_unconditional.dat": (grid_unc.values, header, " ")}
+        results = {"min_wigner_unconditional": float(grid_unc.values.min()),
+                   "projection_probability_plus": projection_probability(
+                       cfg.l, params, +1, cfg.n_cav),
+                   "projection_probability_minus": projection_probability(
+                       cfg.l, params, -1, cfg.n_cav)}
+    files = {"wigner.dat": (grid.values, header, " "), **extra}
+    results["min_wigner"] = float(grid.values.min())
+    results["lobe_count"] = radial_lobe_count(state, r_max)
     log.info("  min Wigner value = %.6g", results["min_wigner"])
     log.info("  lobes above 10%% of peak = %d", results["lobe_count"])
     return files, {"truncations": {"n_cav": unc.space.dims[0]},

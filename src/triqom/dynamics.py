@@ -26,6 +26,7 @@ from .core import (
     _require_bytes,
     coherent_amplitudes,
     coherent_dim,
+    destroy,
     mechanics_dim,
     thermal_density,
 )
@@ -74,12 +75,8 @@ def _displacement_factors(t: float, n_mech: int):
     eta = 0 the generator is the zero matrix and eigh returns exactly (0, I).
     """
     e = complex(eta(t))
-    sq = np.sqrt(np.arange(1, n_mech, dtype=float))
-    m = np.zeros((n_mech, n_mech), dtype=complex)
-    sub = -1j * e * sq
-    m[np.arange(1, n_mech), np.arange(n_mech - 1)] = sub
-    m[np.arange(n_mech - 1), np.arange(1, n_mech)] = sub.conj()
-    return np.linalg.eigh(m)
+    b = destroy(n_mech)
+    return np.linalg.eigh(1j * (e.conjugate() * b - e * b.T))
 
 
 def _branch_phases(s: np.ndarray, t: float | np.ndarray, beta: complex) -> np.ndarray:

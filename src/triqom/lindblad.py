@@ -192,15 +192,12 @@ def _require_memory(h: sparse.csr_matrix, dissipators: Sequence[DissipatorSpec])
 
 def _bohr_spread(params: ModelParams, cspace: CompositeSpace) -> float:
     """E_max - E_min of H.  H keeps the (qubit, photon) label, so its spectrum
-    is that of its 2 n_cav diagonal blocks b'b - s (b + b'), s the joint pull
-    of `branch_shifts`, taken by one batched `eigvalsh`; no d x d H is built."""
-    m = cspace.n_mech
-    s = branch_shifts(params, cspace.n_cav)
-    i = np.arange(m)
-    blocks = np.zeros((s.size, m, m), dtype=complex)
-    blocks[:, i, i] = i
-    blocks[:, i[1:], i[:-1]] = blocks[:, i[:-1], i[1:]] = -np.outer(s, np.sqrt(i[1:]))
-    energies = np.linalg.eigvalsh(blocks)
+    is that of its 2 n_cav diagonal blocks b'b - s (b + b'), with b and b'b
+    from `core` and s the joint pull of `branch_shifts`, taken by one batched
+    `eigvalsh`; no d x d H is built."""
+    b = core.destroy(cspace.n_mech)
+    s = branch_shifts(params, cspace.n_cav)[:, None, None]
+    energies = np.linalg.eigvalsh(core.number_op(cspace.n_mech) - s * (b + b.T))
     return float(energies.max() - energies.min())
 
 
@@ -270,16 +267,19 @@ def _chebyshev_action(scaled: sparse.csr_matrix, mu: float, radius: float,
     exp(span L) = e^{span mu} [J_0(tau) + 2 sum_{k>=1} i^k J_k(tau) T_k(Y)].
     The vectors carry the i^k: U_k = i^k T_k(Y) v obeys U_{k+1} = M U_k +
     U_{k-1}.  The series stops once k > tau and a term falls below 2^-53 of
-    the partial sum.
+    the partial sum.  At tau = 0, which integrate reaches only when R = 0 and
+    so L = 0, every J_k with k >= 1 vanishes and the first check returns v.
+    Above physical memory the table of 2 tau + 64 Bessel values, about 16
+    bytes each, raises MemoryError before it is built.
     """
     from scipy.special import jv
 
-    if radius == 0.0:  # H a multiple of the identity and no channel: L = 0
-        return v.copy()
     tau = span * radius
     # J_k(tau) decays faster than any exponential once k > tau; 2 tau + 64
     # terms take it far below 2^-53
-    coef = 2.0 * jv(np.arange(2 * math.ceil(tau) + 64), tau)
+    terms = 2 * math.ceil(tau) + 64
+    core._require_bytes(16.0 * terms, f"the Chebyshev series at tau = {tau:.3g}")
+    coef = 2.0 * jv(np.arange(terms), tau)
     prev, cur = v, 0.5 * (scaled @ v)
     out = (0.5 * coef[0]) * v + coef[1] * cur
     for k in range(2, coef.size):
@@ -343,8 +343,8 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     conj(rho[j, i]).  Each propagated sample is then symmetrized once and
     checked for trace drift and positivity; a sample at t = 0 is that
     Hermitian part of `rho0`.  Sample times must be finite, nonnegative and
-    strictly increasing.  Above physical memory it raises MemoryError before
-    it builds anything d^2-sized.
+    strictly increasing, and every channel operator d x d.  Above physical
+    memory it raises MemoryError before it builds anything d^2-sized.
     """
     from scipy import sparse
 
@@ -357,9 +357,13 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
     cspace = CompositeSpace.of(rho0.space)
     if dissipators is None:
         dissipators = build_dissipators(params, cspace)
+    for ch in dissipators:
+        if ch.operator.shape != (cspace.dim, cspace.dim):
+            raise ValueError(f"channel {ch.label}: operator of shape {ch.operator.shape} "
+                             f"on a space of shape {(cspace.dim, cspace.dim)}")
     lio, kept, mu, spread, damping = _liouvillian(params, cspace, dissipators)
     radius = spread + damping
-    if radius > 0.0:  # M replaces L; R = 0 only when L = 0, which takes no product
+    if radius > 0.0:  # M replaces L; R = 0 only when L = 0, where tau = 0 needs no M
         lio = (2.0 / radius) * (lio - mu * sparse.identity(lio.shape[0], format="csr"))
     d = cspace.dim
     mat = 0.5 * (rho0.matrix + rho0.matrix.conj().T)

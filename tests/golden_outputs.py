@@ -7,7 +7,7 @@ runs scenario configs through the CLI and writes `tests/golden_outputs.json`
 in two sections:
 
 - `configs`: the nine quick configs under `scenarios/`;
-- `slow`: `coherent_series.cfg` and `open_sweep.cfg` (about 30 s between
+- `slow`: `coherent_series.cfg` and `open_sweep.cfg` (about 23 s between
   them), and the `open-cell` and `closed-series` configs that
   `perfbench.workloads.setup` writes for seeds 1 and 2.
 

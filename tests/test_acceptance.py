@@ -306,9 +306,9 @@ class TestShippedScenarios:
     """The configs under scenarios/ parse, and the quick ones run end to end."""
 
     QUICK = golden_outputs.QUICK
-    # coherent_series (about 12 s on 2 cores) and open_sweep (17-19 s) are
-    # too slow for the suite; they are validated by parsing only (the physics
-    # they produce is covered above at matched parameters)
+    # coherent_series (9.8-10.2 s at one BLAS thread on 2 cores) and open_sweep
+    # (12.5-14.2 s) are too slow for the suite; they are validated by parsing
+    # only (the physics they produce is covered above at matched parameters)
     SLOW = ["coherent_series.cfg", "open_sweep.cfg"]
 
     def test_all_configs_parse(self):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from triqom import (
     CompositeSpace,
@@ -500,10 +502,21 @@ def _drifting_trace(monkeypatch):
     integrate(sweep_initial_state(p, CompositeSpace(3, 4)), p, [0.5])
 
 
+def _stalled_series(monkeypatch):
+    # ||M|| = 40 far beyond the radius 1 the caller claims: the terms grow
+    # through all 2 tau + 64 of them, without overflow (warnings are errors)
+    scaled = 40.0 * sparse.identity(4, format="csr", dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lindblad._chebyshev_action(scaled, 0.0, 1.0, 1.0, np.ones(4, dtype=complex))
+
+
 @pytest.mark.parametrize("call, error, match", [
     (_bare_matrix_rhs, ValueError, "cspace required when passing a bare matrix"),
     (_drifting_trace, IntegrationError, r"trace drift 1\.000e-02 at t = 0\.500000 exceeds"),
-], ids=["bare matrix", "trace drift"])
+    (_stalled_series, IntegrationError,
+     r"Chebyshev series did not converge within 66 terms \(tau = 1\)"),
+], ids=["bare matrix", "trace drift", "stalled series"])
 def test_failures_are_raised_by_name(monkeypatch, call, error, match):
     with pytest.raises(error, match=match):
         call(monkeypatch)
@@ -521,6 +534,35 @@ def test_non_finite_sample_times_are_rejected(monkeypatch, bad):
     with pytest.raises(ValueError, match="sample times must be finite"):
         negativity_sweep([0.0], [0.0], p, rho0, t_cycle=bad)
     assert builds == []
+
+
+def test_a_channel_of_the_wrong_shape_is_rejected_before_the_build(monkeypatch):
+    p = ModelParams(g=0.1, lam=0.2, alpha=0.0)
+    rho0 = sweep_initial_state(p, CompositeSpace(8, 3))
+    builds = spy_calls(monkeypatch, lindblad._liouvillian)
+    with pytest.raises(ValueError, match=r"channel x: operator of shape \(5, 5\) "
+                                         r"on a space of shape \(48, 48\)"):
+        integrate(rho0, p, [0.5], dissipators=[DissipatorSpec("x", 0.1, np.eye(5))])
+    assert builds == []
+
+
+def test_a_long_span_refuses_before_its_coefficient_table(monkeypatch):
+    # a lossless 3 x 4 cell whose Liouvillian fits the budget exactly; at t =
+    # 1e4 its single piece needs 2 tau + 64 Bessel values, about 1.2 MB
+    p = ModelParams(g=0.1, lam=0.25, alpha=0.05)
+    rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
+    needs = []
+    require = core._require_bytes
+    monkeypatch.setattr(core, "_require_bytes",
+                        lambda need, what: needs.append(need) or require(need, what))
+    integrate(rho0, p, [0.5])
+    monkeypatch.setattr(core, "_memory_budget", lambda: needs[0])
+    calls = []
+    jv = scipy.special.jv
+    monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(args) or jv(*args))
+    with pytest.raises(MemoryError, match=r"the Chebyshev series at tau = "):
+        integrate(rho0, p, [1e4])
+    assert calls == []
 
 
 class TestSweep:
@@ -586,8 +628,13 @@ class TestSweep:
         rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
         needs = []
         require = core._require_bytes
-        monkeypatch.setattr(core, "_require_bytes",
-                            lambda need, what: needs.append(need) or require(need, what))
+
+        def record(need, what):
+            if what.startswith("the open sweep"):  # not each Chebyshev table's
+                needs.append(need)
+            require(need, what)
+
+        monkeypatch.setattr(core, "_require_bytes", record)
         negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
         assert len(needs) == 2 and needs[0] < needs[1]
         monkeypatch.setattr(core, "_memory_budget", lambda: needs[0])
