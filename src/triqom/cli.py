@@ -26,6 +26,7 @@ from .core import (
     _STATE_TAIL_TOL,
     _checked,
     _poisson_tail,
+    _require_bytes,
     coherent_state,
     kitten_dim,
     qubit_state,
@@ -246,12 +247,28 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
     return _family_space(cfg.params, _FAMILIES[cfg.scenario], cfg.n_cav, cfg.n_mech)
 
 
+# bytes per row of a runner's output table, the tracemalloc peak of a whole
+# `run_scenario` per row: a closed series holds its times, the (S, 4) rows of
+# `_series` and the (S, 5) table it returns (a fock series of 200,000
+# samples), the kitten scan its couplings and a list of (g, F) tuples of
+# Python floats (40,000 couplings)
+_SERIES_ROW_BYTES = 84
+_KITTEN_ROW_BYTES = 167
+
+
 def _run_entanglement(cfg: ScenarioConfig) -> tuple[dict, dict]:
     cspace = _closed_spaces(cfg)
+    _require_bytes(_SERIES_ROW_BYTES * cfg.samples, f"a table of {cfg.samples} samples")
     build, k = _family_series(_FAMILIES[cfg.scenario], cfg.params, cspace)
-    rows, max_discard = _series(build, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
+
+    def checked(ts):  # a chunk past the tail tolerance stops the series before its records
+        states, discarded = build(ts)
+        _checked(f"{cfg.scenario} state", float(np.max(discarded)), cspace.dim,
+                 _STATE_TAIL_TOL)
+        return states, discarded
+
+    rows, max_discard = _series(checked, k, np.linspace(cfg.t_start, cfg.t_end, cfg.samples),
                                 cspace)
-    _checked(f"{cfg.scenario} state", max_discard, cspace.dim, _STATE_TAIL_TOL)
     stride = max(1, cfg.samples // 8)
     for t, neg_qc in rows[sorted({*range(0, cfg.samples, stride), cfg.samples - 1}), :2]:
         log.info("  t = %9.5f   neg_qc = %.6f", t, neg_qc)
@@ -314,6 +331,7 @@ def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 def _run_kitten(cfg: ScenarioConfig) -> tuple[dict, dict]:
     params = cfg.params
+    _require_bytes(_KITTEN_ROW_BYTES * cfg.g_samples, f"a table of {cfg.g_samples} couplings")
     gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     # the target's tail, not the state's, bounds the fidelity error
     dim = cfg.n_cav or kitten_dim(params.alpha)

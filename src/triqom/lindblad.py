@@ -160,34 +160,16 @@ def lindblad_rhs(rho: DensityMatrix | np.ndarray, params: ModelParams,
     return out
 
 
-def _require_open_bytes(d: int, liouvillian_bytes: float = 0.0) -> None:
-    """Raise MemoryError if the 16 d^2-sized complex vectors of an open
-    propagation at dimension d, plus `liouvillian_bytes`, would not fit in
-    physical memory."""
-    core._require_bytes(liouvillian_bytes + 16.0 * 16.0 * float(d) ** 2,
+def _require_open_bytes(d: int, entries: float = 0.0) -> None:
+    """Raise MemoryError if an open propagation at dimension d, whose
+    Liouvillian operands hold `entries` entries, would not fit in physical
+    memory.  Each entry costs 20 bytes (complex value, int32 column) and is
+    counted three times, for the operands, their sum and its slices; the
+    Chebyshev recurrence, the mirror fill and the checks are counted as 16
+    d^2-sized complex vectors.  Traced, a whole `integrate` call at 6 x 8 and
+    14 x 16, lossless or dressed, peaks 1.7-2.5 times below the estimate."""
+    core._require_bytes(3.0 * 20.0 * entries + 16.0 * 16.0 * float(d) ** 2,
                         f"the open sweep at dimension {d}")
-
-
-def _require_memory(h: sparse.csr_matrix, dissipators: Sequence[DissipatorSpec]) -> None:
-    """Raise MemoryError if the Liouvillian of H and the channels `dissipators`
-    and the propagation vectors would not fit in physical memory.
-
-    The estimate uses only d x d operators.  With A = -iH - G, L = A kron I +
-    I kron conj(A) + sum_k 2 r_k O_k kron conj(O_k) has E <= 2 d nnz(A) +
-    sum_k nnz(O_k)^2 entries, nnz(A) <= nnz(H) + sum_k nnz(O_k'O_k) and
-    nnz(O'O) <= sum_i (nnz of row i of O)^2.  Each entry costs 20 bytes
-    (complex value, int32 column) and is counted three times, for the sum of
-    the Kronecker products, its operands and its slices.  The Chebyshev
-    recurrence, the mirror fill and the checks are counted as 16 d^2-sized
-    complex vectors (`_require_open_bytes`).  Traced, a whole `integrate`
-    call peaks at 0.74-0.76 x 20E bytes in a dressed cell and 2.1-3.1 x 20E
-    in a lossless one at 6 x 8 and 14 x 16, 1.7-4.5 times below the estimate.
-    """
-    d = h.shape[0]
-    ops = [ch.operator for ch in dissipators]
-    gen = h.nnz + sum(float((np.diff(o.indptr) ** 2).sum()) for o in ops)
-    nnz = 2.0 * d * gen + sum(float(o.nnz) ** 2 for o in ops)
-    _require_open_bytes(d, 3.0 * 20.0 * nnz)
 
 
 def _bohr_spread(params: ModelParams, cspace: CompositeSpace) -> float:
@@ -207,8 +189,10 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
     """The Liouvillian of `params`' H and the channels `dissipators` on the
     entries of rho it propagates, the d x d mask of those entries, the mean
     mu of the real part of its diagonal, the Bohr spread S of H and the bound
-    D on the 1-norm of its dissipative part; or MemoryError before anything
-    d^2-sized is built if they would not fit.
+    D on the 1-norm of its dissipative part.  A and the O_k below are d x d,
+    so the operands of L hold exactly 2 d nnz(A) + sum_k nnz(O_k)^2 entries;
+    `_require_open_bytes` counts them, raising MemoryError before any
+    Kronecker product if they would not fit.
 
     With C-ordered flattening vec(A rho B) = (A kron B^T) vec(rho), so
     L = A kron I + I kron conj(A) + J, with A = -iH - G, G = sum_k r_k O_k'O_k
@@ -227,18 +211,18 @@ def _liouvillian(params: ModelParams, cspace: CompositeSpace,
     """
     from scipy import sparse
 
-    h = hamiltonian(params, cspace, as_sparse=True)
-    _require_memory(h, dissipators)
     d = cspace.dim
-    eye = sparse.identity(d, format="csr", dtype=complex)
     gain = sparse.csr_matrix((d, d), dtype=complex)
+    for ch in dissipators:
+        gain = gain + ch.rate * (ch.operator.conj().T.tocsr() @ ch.operator)
+    gen = -1j * hamiltonian(params, cspace, as_sparse=True) - gain
+    _require_open_bytes(d, 2.0 * d * gen.nnz
+                        + sum(float(ch.operator.nnz) ** 2 for ch in dissipators))
+    eye = sparse.identity(d, format="csr", dtype=complex)
     jump = None
     for ch in dissipators:
-        o = ch.operator
-        gain = gain + ch.rate * (o.conj().T.tocsr() @ o)
-        term = (2.0 * ch.rate) * sparse.kron(o, o.conj(), format="csr")
+        term = (2.0 * ch.rate) * sparse.kron(ch.operator, ch.operator.conj(), format="csr")
         jump = term if jump is None else jump + term
-    gen = -1j * h - gain
     lio = sparse.kron(gen, eye, format="csr") + sparse.kron(eye, gen.conj(), format="csr")
     damping = 2.0 * abs(gain).sum(axis=0).max()
     if jump is not None:

@@ -722,7 +722,7 @@ class TestExitCodes:
                                                                monkeypatch):
         text = ("scenario = open-sweep\ng = 0.2\nlambda = 0.25\nalpha = 0.05\nbeta = 0.05\n"
                 "n_cav = 2\nn_mech = 3\nkappa = 1e-2\n")
-        # the estimate for this 2 x 3 sweep is about 82 kB; the propagation
+        # the estimate for this 2 x 3 sweep is about 76 kB; the propagation
         # vectors alone refuse it before the d x d rho0 is built
         monkeypatch.setattr("triqom.core._memory_budget", lambda: 1024)
         calls = spy_calls(monkeypatch, triqom.core.tensor)
@@ -787,6 +787,25 @@ class TestExitCodes:
         assert f"error: problem too large for memory: {what}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("scenario, size, what", [
+        ("fock-entanglement", "g = 0.2\nsamples = 1000000\n", "a table of 1000000 samples"),
+        ("kitten-fidelity", "g_samples = 1000000\n", "a table of 1000000 couplings"),
+    ], ids=["fock", "kitten"])
+    def test_output_table_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
+                                                               monkeypatch, scenario, size,
+                                                               what):
+        # tables of 84 and 167 MB against 1 MiB; a state build or an objective fails the test
+        def built(*args, **kwargs):
+            raise AssertionError("built before the table was counted")
+
+        monkeypatch.setattr("triqom.cli._family_series", built)
+        monkeypatch.setattr("triqom.cli._kitten_objective", built)
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 2 ** 20)
+        code, out = _run(tmp_path, f"scenario = {scenario}\nlambda = 0.25\n{size}")
+        assert code == 1
+        assert f"error: problem too large for memory: {what}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("scenario, sizes, data", [
         ("fock-entanglement", "beta = 3\nn_mech = 5\n", "entanglement.csv"),
         ("coherent-entanglement", "n_mech = 5\n", "entanglement.csv"),
@@ -794,11 +813,14 @@ class TestExitCodes:
         ("cat-conditional", "alpha = 3\nn_cav = 2\n", "wigner.dat"),
     ])
     def test_closed_state_beyond_the_tail_tolerance_is_exit_two(self, tmp_path, capsys,
-                                                                 scenario, sizes, data):
-        # the library builders keep any tail; the CLI refuses one above 1e-6
+                                                                 monkeypatch, scenario, sizes,
+                                                                 data):
+        # the library builders keep any tail; the CLI refuses one above 1e-6,
+        # a series at its first such chunk, before that chunk's records
+        records = spy_calls(monkeypatch, triqom.entanglement._records)
         code, out = _run(tmp_path, f"scenario = {scenario}\ng = 0.2\nlambda = 0.25\n"
                                    f"samples = 2\n{sizes}")
-        assert code == 2
+        assert code == 2 and records == []
         err = capsys.readouterr().err
         assert f"error: {scenario}" in err and "exceeds tolerance 1.0e-06" in err
         assert not (out / data).exists() and not (out / "manifest.json").exists()

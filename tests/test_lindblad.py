@@ -33,7 +33,7 @@ from scipy import sparse
 from triqom import core, lindblad
 from triqom.core import _lift, destroy, embed, fock_state, number_op, sigma_minus, sigma_z
 from triqom.dynamics import evolve_fock_superposition, hamiltonian
-from triqom.lindblad import DissipatorSpec, _bohr_spread, _liouvillian, _require_memory
+from triqom.lindblad import DissipatorSpec, _bohr_spread, _liouvillian
 
 from conftest import TWO_PI, random_density, spy_calls
 
@@ -326,23 +326,27 @@ class TestBohrSpread:
 
 class TestMemoryEstimate:
     def test_estimate_exceeds_the_traced_peak_of_a_dressed_cell(self, monkeypatch):
-        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed=True)
+        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, 6, 8, dressed=True)
 
     def test_estimate_exceeds_the_traced_peak_of_a_lossless_cell(self, monkeypatch):
         # assembly has its largest share of the peak here
-        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed=False)
+        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, 6, 8, dressed=False)
+
+    def test_estimate_exceeds_the_traced_peak_of_a_shipped_size_cell(self, monkeypatch):
+        # a dressed cell at the size of open_sweep.cfg
+        self._assert_estimate_exceeds_the_traced_peak(monkeypatch, 14, 16, dressed=True)
 
     @staticmethod
-    def _assert_estimate_exceeds_the_traced_peak(monkeypatch, dressed):
-        # the open-cell benchmark's cells at 6 x 8: every channel on, or none
+    def _assert_estimate_exceeds_the_traced_peak(monkeypatch, n_cav, n_mech, dressed):
+        # the open-cell benchmark's rates: every channel on, or none
         import tracemalloc
 
         rates = dict(kappa=1e-2, gamma_m=1e-5, Gamma=1e-3, n_th=10.0, n_q=10.0) if dressed else {}
         p = ModelParams(g=0.2, lam=0.25, alpha=1.0, beta=0.5, **rates)
-        cs = CompositeSpace(6, 8)
+        cs = CompositeSpace(n_cav, n_mech)
         rho0 = tensor(qubit_state(1.0, 1.0),
-                      coherent_state(1.0, 6, label="cavity", tail_tol=1e-3),
-                      coherent_state(0.5, 8, label="mech", tail_tol=1e-3)).density_matrix()
+                      coherent_state(1.0, n_cav, label="cavity", tail_tol=1e-3),
+                      coherent_state(0.5, n_mech, label="mech", tail_tol=1e-3)).density_matrix()
         diss = build_dissipators(p, cs, dephasing_rate=1e-2 if dressed else 0.0)
         assert len(diss) == (7 if dressed else 0)
         tracemalloc.start()
@@ -351,11 +355,9 @@ class TestMemoryEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        h = hamiltonian(p, cs, as_sparse=True)
-        _require_memory(h, diss)
         monkeypatch.setattr("triqom.core._memory_budget", lambda: peak)
-        with pytest.raises(MemoryError):
-            _require_memory(h, diss)
+        with pytest.raises(MemoryError, match="open sweep"):
+            _liouvillian(p, cs, diss)
 
 
 class TestIntegrate:
