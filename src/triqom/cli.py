@@ -210,11 +210,10 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # output files: 17 significant digits so reruns diff byte-identically
 
-def _write(path: Path, rows, header: str, delimiter: str) -> None:
-    """Write one data file of rows of floats."""
+def _write(path: Path, rows: np.ndarray, header: str, delimiter: str) -> None:
+    """Write one data file from a 2-D float array, one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        np.savetxt(f, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=delimiter,
-                   header=header, comments="")
+        np.savetxt(f, rows, fmt="%.17g", delimiter=delimiter, header=header, comments="")
 
 
 def read_wigner(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,12 +247,11 @@ def _closed_spaces(cfg: ScenarioConfig) -> CompositeSpace:
 
 
 # bytes per row of a runner's output table, the tracemalloc peak of a whole
-# `run_scenario` per row: a closed series holds its times, the (S, 4) rows of
-# `_series` and the (S, 5) table it returns (a fock series of 200,000
-# samples), the kitten scan its couplings and a list of (g, F) tuples of
-# Python floats (40,000 couplings)
-_SERIES_ROW_BYTES = 84
-_KITTEN_ROW_BYTES = 167
+# `run_scenario` per row: a closed series holds its times and the (S, 5) table
+# of `_series` (a fock series of 200,000 samples), the kitten scan its (S, 2)
+# table (40,000 couplings)
+_SERIES_ROW_BYTES = 78
+_KITTEN_ROW_BYTES = 30
 
 
 def _run_entanglement(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -291,13 +289,13 @@ def _run_open_sweep(cfg: ScenarioConfig) -> tuple[dict, dict]:
     cav = coherent_state(params.alpha, cspace.n_cav, label="cavity", tail_tol=1e-3)
     mech = coherent_state(params.beta, cspace.n_mech, label="mech", tail_tol=1e-3)
     rho0 = tensor(qubit_state(1.0, 1.0), cav, mech).density_matrix()
-    rows = negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
-                            t_cycle=2.0 * math.pi * cfg.l)
+    rows = np.array(negativity_sweep(cfg.Gammas, cfg.gamma_phis, params, rho0,
+                                     t_cycle=2.0 * math.pi * cfg.l))
     return ({"sweep.csv": (rows, "Gamma,gamma_phi,neg_qc_2pi", ",")},
             {"truncations": {"n_cav": cspace.n_cav, "n_mech": cspace.n_mech},
              "tail_weights": {"rho0_discarded_weight": rho0.discarded_weight},
-             "results": {"neg_qc_2pi_max": max(r[2] for r in rows),
-                         "neg_qc_2pi_min": min(r[2] for r in rows)}})
+             "results": {"neg_qc_2pi_max": float(rows[:, 2].max()),
+                         "neg_qc_2pi_min": float(rows[:, 2].min())}})
 
 
 def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -332,24 +330,26 @@ def _run_cat(cfg: ScenarioConfig) -> tuple[dict, dict]:
 def _run_kitten(cfg: ScenarioConfig) -> tuple[dict, dict]:
     params = cfg.params
     _require_bytes(_KITTEN_ROW_BYTES * cfg.g_samples, f"a table of {cfg.g_samples} couplings")
-    gs = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
+    rows = np.empty((cfg.g_samples, 2))
+    rows[:, 0] = np.linspace(cfg.g_min, cfg.g_max, cfg.g_samples)
     # the target's tail, not the state's, bounds the fidelity error
     dim = cfg.n_cav or kitten_dim(params.alpha)
     fidelity, target = _kitten_objective(params, cfg.l, dim)
-    rows = [(float(g), fidelity(float(g))) for g in gs]
-    best = max(range(len(rows)), key=lambda i: rows[i][1])
-    log.info("  best grid point: g = %.6g  fidelity = %.6f", *rows[best])
+    for row in rows:
+        row[1] = fidelity(float(row[0]))
+    best = rows[np.argmax(rows[:, 1])].tolist()  # the first of equal maxima
+    log.info("  best grid point: g = %.6g  fidelity = %.6f", *best)
     return ({"fidelity.csv": (rows, "g,fidelity", ",")},
             {"truncations": {"n_cav": dim},
              # every g's state keeps the cavity's exact Poisson tail (`qubit_cavity_at_cycle`)
              "tail_weights": {"max_discarded_weight": _poisson_tail(dim, params.alpha),
                               "target_discarded_weight": target.discarded_weight},
-             "results": {"g_best": rows[best][0], "fidelity_best": rows[best][1]}})
+             "results": {"g_best": best[0], "fidelity_best": best[1]}})
 
 
 # each runner maps a config to its data files, name -> (rows, header,
-# delimiter) in the order they are listed, and its manifest's truncations,
-# tail_weights and results; it writes nothing
+# delimiter) in the order they are listed, rows a 2-D float array, and its
+# manifest's truncations, tail_weights and results; it writes nothing
 _RUNNERS = {
     "fock-entanglement": _run_entanglement,
     "coherent-entanglement": _run_entanglement,
@@ -373,8 +373,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> dict
     out.mkdir(parents=True, exist_ok=True)
     log.info("scenario %s -> %s", cfg.scenario, out)
     files, sections = _RUNNERS[cfg.scenario](cfg)
-    if not all(np.isfinite(np.asarray(rows, dtype=float)).all()
-               for rows, _, _ in files.values()):
+    if not all(np.isfinite(rows).all() for rows, _, _ in files.values()):
         raise IntegrationError("non-finite value in output data")
     for name, (rows, header, delimiter) in files.items():
         _write(out / name, rows, header, delimiter)

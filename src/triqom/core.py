@@ -200,7 +200,8 @@ class PureState:
 
     def density_matrix(self) -> "DensityMatrix":
         v = self.amplitudes
-        return DensityMatrix(self.space, np.outer(v, v.conj()), self.discarded_weight)
+        return DensityMatrix(self.space, _readonly(np.outer(v, v.conj())),
+                             self.discarded_weight)
 
 
 _HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-10, 1e-8, -1e-8  # DensityMatrix.validate
@@ -208,14 +209,20 @@ _HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-10, 1e-8, -1e-8  # DensityMatrix.validate
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace Hermitian operator on a Space; immutable after construction."""
+    """Unit-trace Hermitian operator on a Space; immutable after construction.
+
+    A writeable matrix is copied, so the caller's array stays writeable and
+    later writes to it do not reach this state; a read-only complex C-ordered
+    one, as the package's own constructors hand over, is kept as it is."""
 
     space: Space
     matrix: np.ndarray
     discarded_weight: float = 0.0
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        m = self.matrix
+        frozen = isinstance(m, np.ndarray) and not m.flags.writeable
+        mat = np.array(m, dtype=complex, order="C", copy=None if frozen else True)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
@@ -446,7 +453,7 @@ def thermal_density(nbar: float, dim: int, label: str = "mech",
     log_p[1:] = np.arange(1, dim) * (math.log(r) if r > 0.0 else -math.inf)
     p = np.exp(log_p) / (nbar + 1.0)
     p /= p.sum()
-    return DensityMatrix(space, np.diag(p.astype(complex)), float(tail))
+    return DensityMatrix(space, _readonly(np.diag(p.astype(complex))), float(tail))
 
 
 def displaced_fock(alpha: complex, n: int, dim: int, label: str = "mech",
@@ -502,7 +509,7 @@ def tensor(*parts: PureState | DensityMatrix) -> PureState | DensityMatrix:
                   sum((p.space.dims for p in parts), ()))
     arrays = [p.amplitudes if kind is PureState else p.matrix for p in parts]
     w = _joint_tail(*(p.discarded_weight for p in parts))
-    return kind(space, functools.reduce(np.kron, arrays), w)
+    return kind(space, _readonly(functools.reduce(np.kron, arrays)), w)
 
 
 def partial_trace(state: PureState | DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -527,7 +534,7 @@ def partial_trace(state: PureState | DensityMatrix, keep: Iterable[str]) -> Dens
         red = t.reshape(dk, dk)
     else:
         raise TypeError(f"cannot trace object of type {type(state)}")
-    return DensityMatrix(sub, np.ascontiguousarray(red),
+    return DensityMatrix(sub, _readonly(np.ascontiguousarray(red)),
                          discarded_weight=state.discarded_weight)
 
 

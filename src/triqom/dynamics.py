@@ -23,6 +23,7 @@ from .core import (
     _joint_tail,
     _operators,
     _poisson_tail,
+    _readonly,
     _require_bytes,
     coherent_amplitudes,
     coherent_dim,
@@ -247,7 +248,7 @@ def evolve_thermal(t: float, params: ModelParams,
     cspace = cspace or default_composite_space(params, family="thermal")
     y, w_total = _thermal_purification([t], params, cspace)
     y = y[0].reshape(cspace.n_mech, -1)
-    return DensityMatrix(cspace.space, y.T @ y.conj(), discarded_weight=w_total)
+    return DensityMatrix(cspace.space, _readonly(y.T @ y.conj()), discarded_weight=w_total)
 
 
 def _family_series(family: str, params: ModelParams, cspace: CompositeSpace):

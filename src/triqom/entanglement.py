@@ -316,13 +316,14 @@ def _series(build, k: int, ts, cspace: CompositeSpace) -> tuple[np.ndarray, floa
     of `_records` at s times and their discarded weights.  `_chunks` refuses
     before any slice is built, and each is reduced before the next is built."""
     ts = np.asarray(ts, dtype=float)
-    rows = np.empty((ts.size, 4))
+    rows = np.empty((ts.size, 5))
+    rows[:, 0] = ts
     max_discarded = 0.0
     for c in _chunks(ts.size, _sample_bytes(cspace.n_cav, cspace.n_mech, k)):
         states, discarded = build(ts[c])
-        rows[c] = _records(states, cspace.n_cav)
+        rows[c, 1:] = _records(states, cspace.n_cav)
         max_discarded = max(max_discarded, float(np.max(discarded)))
-    return np.column_stack([ts, rows]), max_discarded
+    return rows, max_discarded
 
 
 def entanglement_record(state: PureState | DensityMatrix, t: float) -> EntanglementRecord:

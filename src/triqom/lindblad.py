@@ -376,7 +376,7 @@ def integrate(rho0: DensityMatrix, params: ModelParams, times: Iterable[float],
             raise IntegrationError(
                 f"negative eigenvalue {w_min:.3e} at t = {t_now:.6f} beyond "
                 f"{_POSITIVITY_TOL:.1e}")
-        samples.append(DensityMatrix(rho0.space, mat,
+        samples.append(DensityMatrix(rho0.space, core._readonly(mat),
                                      discarded_weight=rho0.discarded_weight))
     return Trajectory(tuple(times), tuple(samples))
 
@@ -398,18 +398,18 @@ def negativity_sweep(Gamma_values: Sequence[float], gamma_phi_values: Sequence[f
 
     gamma_phi values are the total qubit dephasing rates (the dressed rate is
     pinned, not re-derived from a bare rate).  Cells are independent, all
-    starting from rho0; rows come out with Gamma as the outer loop.  Every
-    cell's channels are built, and so every rate checked, before any cell
-    runs; each cell is then one `integrate` call over one period (MemoryError
-    before anything d^2-sized), logged at INFO to `triqom.lindblad` when done.
+    starting from rho0; rows come out with Gamma as the outer loop.  Each cell
+    builds its channels when it starts, so a bad rate is rejected by the cell
+    that first uses it (the CLI checks every axis entry before any cell
+    runs), and is one `integrate` call over one period (MemoryError before
+    anything d^2-sized), logged at INFO to `triqom.lindblad` when done.
     """
     cspace = CompositeSpace.of(rho0.space)
-    cells = [(float(big_gamma), float(gphi),
-              build_dissipators(params.with_rates(Gamma=float(big_gamma)), cspace,
-                                dephasing_rate=float(gphi)))
-             for big_gamma in Gamma_values for gphi in gamma_phi_values]
     rows: list[tuple[float, float, float]] = []
-    for big_gamma, gphi, diss in cells:
+    for big_gamma, gphi in ((float(a), float(b)) for a in Gamma_values
+                            for b in gamma_phi_values):
+        diss = build_dissipators(params.with_rates(Gamma=big_gamma), cspace,
+                                 dephasing_rate=gphi)
         state = integrate(rho0, params, [t_cycle], config, dissipators=diss).states[-1]
         neg = negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
         rows.append((big_gamma, gphi, neg))

@@ -164,15 +164,13 @@ def wigner(state: PureState | DensityMatrix, x_axis: np.ndarray,
            y_axis: np.ndarray) -> WignerGrid:
     """Wigner function of a single-mode state on a rectangular quadrature grid.
 
-    Refuses an oversized grid before it allocates the points: the radius of
-    x + i y depends on |x| and |y| alone, which bounds the distinct radii; on
-    axes with the same m values of |x|, m (m + 1) / 2 unordered pairs.
+    Refuses a grid whose points alone would not fit before it allocates
+    them; `wigner_at` then counts the distinct radii exactly and refuses
+    before its (level x radius) buffers.
     """
     x = np.asarray(x_axis, dtype=float)
     y = np.asarray(y_axis, dtype=float)
-    ux, uy = np.unique(np.abs(x)), np.unique(np.abs(y))
-    radii = ux.size * (ux.size + 1) // 2 if np.array_equal(ux, uy) else ux.size * uy.size
-    _require_wigner_bytes(state.space.dim, x.size * y.size, radii)
+    _require_wigner_bytes(state.space.dim, x.size * y.size, radii=0)
     pts = (x[:, None] + 1j * y[None, :]) / math.sqrt(2.0)
     return WignerGrid(x, y, wigner_at(state, pts))
 

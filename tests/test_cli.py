@@ -359,6 +359,12 @@ class TestRunScenarios:
         assert np.all(np.isfinite(data))
         assert np.all((0.0 <= data[:, 1]) & (data[:, 1] <= 1.0))
 
+    def test_kitten_table_is_one_float_array(self):
+        cfg = parse_config("scenario = kitten-fidelity\nlambda = 1\nalpha = 3\nl = 10\n"
+                           "g_min = 0.002\ng_max = 0.03\ng_samples = 9\n")
+        rows = triqom.cli._run_kitten(cfg)[0]["fidelity.csv"][0]
+        assert isinstance(rows, np.ndarray)
+        assert rows.dtype == np.float64 and rows.shape == (9, 2)
 
     def test_kitten_scan_builds_its_target_once(self, tmp_path, monkeypatch):
         calls = spy_calls(monkeypatch, displaced_fock)
@@ -794,7 +800,7 @@ class TestExitCodes:
     def test_output_table_beyond_the_memory_budget_is_exit_one(self, tmp_path, capsys,
                                                                monkeypatch, scenario, size,
                                                                what):
-        # tables of 84 and 167 MB against 1 MiB; a state build or an objective fails the test
+        # tables of 78 and 30 MB against 1 MiB; a state build or an objective fails the test
         def built(*args, **kwargs):
             raise AssertionError("built before the table was counted")
 

@@ -615,6 +615,21 @@ class TestSweep:
             state = integrate(rho0, p, [TWO_PI], dissipators=diss).states[-1]
             assert neg == negativity(partial_trace(state, ("qubit", "cavity")), ("qubit",))
 
+    def test_each_cell_builds_its_channels_when_it_starts(self, monkeypatch):
+        p = ModelParams(g=0.1, lam=0.25, alpha=0.05, kappa=0.01)
+        rho0 = sweep_initial_state(p, CompositeSpace(3, 4))
+        order = []
+        for func in (build_dissipators, integrate):
+            monkeypatch.setattr(lindblad, func.__name__, lambda *args, func=func, **kwargs:
+                                order.append(func.__name__) or func(*args, **kwargs))
+        negativity_sweep([0.0, 1e-3], [0.0], p, rho0=rho0)
+        assert order == ["build_dissipators", "integrate"] * 2
+        # a bad rate is rejected by the first cell that uses it, after the cells before it
+        order.clear()
+        with pytest.raises(ValueError, match="Gamma"):
+            negativity_sweep([0.0, -1.0], [0.0], p, rho0=rho0)
+        assert order == ["build_dissipators", "integrate"]
+
     def test_a_sweep_lifts_each_operator_once(self, monkeypatch):
         p = ModelParams(g=0.1, lam=0.25, alpha=0.05, kappa=0.01, gamma_m=1e-4)
         rho0 = sweep_initial_state(p, CompositeSpace(3, 4))

@@ -214,20 +214,26 @@ class TestWignerMemory:
         monkeypatch.undo()
         assert wigner(state, ax, ax).values.shape == (41, 41)
 
-    def test_equal_axes_count_unordered_pairs(self, monkeypatch):
+    def test_the_exact_radius_count_sizes_the_buffers(self, monkeypatch):
         # 21 values of |x| on the mirrored 41-point axis: |x + i y| depends on
-        # their unordered pair, 231 radii, where |x| x |y| counts 441
+        # their unordered pair, 231 pairs, where |x| x |y| counts 441; pairs
+        # such as (3, 4) and (0, 5) steps share a radius, which leaves 222
         state = cavity_unconditional(10, ModelParams(g=0.0125, lam=1.0, alpha=3.0), 41)
         ax = default_axis(3.0, 41)
         points = _WIGNER_POINT_BYTES * 41 * 41
-        budget = points + _WIGNER_CELL_BYTES * 41 * 231
-        assert points + _WIGNER_CELL_BYTES * 41 * 441 > budget
-        monkeypatch.setattr("triqom.core._memory_budget", lambda: budget)
-        assert wigner(state, ax, ax).values.shape == (41, 41)
-        # axes with different |values| keep the |x| x |y| bound
+        for radii in (231, 222):
+            budget = points + _WIGNER_CELL_BYTES * 41 * radii
+            assert points + _WIGNER_CELL_BYTES * 41 * 441 > budget
+            monkeypatch.setattr("triqom.core._memory_budget", lambda budget=budget: budget)
+            assert wigner(state, ax, ax).values.shape == (41, 41)
+            # axes with different |values| have 416 radii
+            with pytest.raises(MemoryError, match="a Wigner grid of 1681 points"):
+                wigner(state, ax, 1.5 * ax)
+        # one radius fewer than the grid has refuses
+        monkeypatch.setattr("triqom.core._memory_budget",
+                            lambda: points + _WIGNER_CELL_BYTES * 41 * 221)
         with pytest.raises(MemoryError, match="a Wigner grid of 1681 points"):
-            wigner(state, ax, 1.5 * ax)
-
+            wigner(state, ax, ax)
 
     @pytest.mark.parametrize("read", [
         lambda state: wigner(state, default_axis(3.0, 8), default_axis(3.0, 8)),

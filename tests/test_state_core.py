@@ -617,6 +617,14 @@ def test_pure_state_shares_no_buffer_with_its_caller():
     np.testing.assert_array_equal(st.amplitudes, [0.0, 0.0])
 
 
+def test_density_matrix_shares_no_buffer_with_its_caller():
+    m = np.diag([1.0, 0.0]).astype(complex)  # complex and C-ordered, so no conversion copies it
+    dm = DensityMatrix(Space(("qubit",), (2,)), m)
+    assert not np.shares_memory(dm.matrix, m)
+    m[0, 0] = 7.0  # the caller's array stays writable, and the state does not move
+    np.testing.assert_array_equal(dm.matrix, np.diag([1.0, 0.0]))
+
+
 def test_density_matrix_validation():
     sp = Space(("cavity",), (3,))
     good = np.diag([0.5, 0.3, 0.2]).astype(complex)
