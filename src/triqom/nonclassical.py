@@ -90,15 +90,59 @@ def _cavity_matrix(state: PureState | DensityMatrix) -> np.ndarray:
 
 
 # bytes per point and per (level x distinct radius) that `wigner_at` holds:
-# six (level x radius) buffers, four real and two complex, and about 98 bytes
-# per point in the traced peaks of `wigner` on default_axis(3) grids of 201^2
-# to 801^2 points at 41 and 81 levels, rounded up here to 128
+# `_radial_sums` peaks at six real (level x radius) buffers, 48 bytes a cell,
+# and its complex result keeps 16 through the angular pass, whose points take
+# about 100 bytes each (traced peaks of `wigner` on default_axis(3) grids of
+# 201^2 to 801^2 points at 2 to 81 levels); both are rounded up here
 _WIGNER_POINT_BYTES, _WIGNER_CELL_BYTES = 128, 64
 
 
 def _require_wigner_bytes(dim: int, points: int, radii: int) -> None:
     _require_bytes(_WIGNER_POINT_BYTES * points + _WIGNER_CELL_BYTES * dim * radii,
                    f"a Wigner grid of {points} points on {dim} levels")
+
+
+def _radial_sums(rho: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """The (dim x radii) complex array of (2 - delta_d0) c_d(x) at the radii
+    x >= 0 (see `wigner_at`).  The recurrence in m accumulates Re rho and
+    Im rho as real products into two real buffers; the complex array is
+    formed once, at the end."""
+    dim = rho.shape[0]
+    d = np.arange(dim)[:, None]
+    # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows;
+    # (d/2) log x is 0 at d = 0 and -inf at the origin for d > 0
+    log_x = np.log(radius, out=np.full_like(radius, -np.inf), where=radius > 0.0)
+    cur = np.zeros((dim, radius.size))
+    np.multiply(0.5 * d[1:], log_x, out=cur[1:])
+    cur -= 0.5 * radius
+    cur -= 0.5 * _log_factorials(dim)[:, None]
+    np.exp(cur, out=cur)
+    rho_re, rho_im = rho.real, rho.imag
+    re, im = rho_re[0, :, None] * cur, rho_im[0, :, None] * cur
+    # rows d < k of three real buffers hold l_{m-1}, l_m and l_{m+1}; they
+    # rotate each step, so the loop allocates no (dim x radii) temporaries
+    prev, nxt, term = np.zeros_like(cur), np.empty_like(cur), np.empty_like(cur)
+    for m in range(1, dim):
+        k = dim - m  # diagonals d < k still have a term rho[m, m+d]
+        dk = d[:k]
+        np.subtract(2 * m - 1 + dk, radius, out=nxt[:k])
+        nxt[:k] *= cur[:k]
+        prev[:k] *= np.sqrt((m - 1) * (m - 1 + dk))
+        nxt[:k] -= prev[:k]
+        nxt[:k] /= np.sqrt(m * (m + dk))
+        prev, cur, nxt = cur, nxt, prev
+        sign = (-1) ** m
+        for acc, part in ((re, rho_re), (im, rho_im)):
+            np.multiply(sign * part[m, m:, None], cur[:k], out=term[:k])
+            acc[:k] += term[:k]
+    # free the recurrence's four buffers before the complex result: the
+    # kernel then peaks at six real (dim x radii) arrays, in the loop
+    del prev, cur, nxt, term
+    re[1:] *= 2.0
+    im[1:] *= 2.0
+    coeff = np.empty(re.shape, dtype=complex)
+    coeff.real, coeff.imag = re, im
+    return coeff
 
 
 def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarray:
@@ -113,44 +157,26 @@ def wigner_at(state: PureState | DensityMatrix, points: np.ndarray) -> np.ndarra
     where l_m^(d) = sqrt(m!/(m+d)!) L_m^(d) are normalized Laguerre
     polynomials, so every term is bounded by one.  The radial sums c_d run a
     three-term recurrence in m once per distinct x (points grouped exactly,
-    without rounding); the angular sum is Horner's rule in e^{i theta}, one
-    pass over the points per diagonal d.  Output is real, shaped like `points`.
-    A MemoryError is raised before the (level x radius) buffers when they and
-    the points would exceed the physical memory.
+    without rounding; `_radial_sums`); the angular sum is Horner's rule in
+    e^{i theta}, one pass over the points per diagonal d.  Output is real,
+    shaped like `points`.  A point that is not finite, or whose |2a|^2
+    overflows, raises ValueError; a MemoryError is raised before the
+    (level x radius) buffers when they and the points would exceed the
+    physical memory.
     """
     rho = _cavity_matrix(state)
     dim = rho.shape[0]
     a = np.asarray(points, dtype=complex)
-    two_a = 2.0 * a.ravel()
-    norm = np.abs(two_a)
-    radius, inverse = np.unique(norm ** 2, return_inverse=True)
+    if not np.isfinite(a).all():
+        raise ValueError("Wigner points must be finite")
+    with np.errstate(over="ignore"):
+        two_a = 2.0 * a.ravel()
+        norm = np.abs(two_a)
+        radius, inverse = np.unique(norm ** 2, return_inverse=True)
+    if not np.isfinite(radius).all():
+        raise ValueError("Wigner points must have a finite |2a|^2")
     _require_wigner_bytes(dim, two_a.size, radius.size)
-    d = np.arange(dim)[:, None]
-    # m = 0 row: e^{-x/2} x^{d/2} / sqrt(d!), in logs so no factor overflows;
-    # (d/2) log x is 0 at d = 0 and -inf at the origin for d > 0
-    log_x = np.log(radius, out=np.full_like(radius, -np.inf), where=radius > 0.0)
-    log_row = np.zeros((dim, radius.size))
-    np.multiply(0.5 * d[1:], log_x, out=log_row[1:])
-    cur = np.exp(log_row - 0.5 * radius - 0.5 * _log_factorials(dim)[:, None])
-    coeff = rho[0, :, None] * cur
-    # rows d < k of three real buffers hold l_{m-1}, l_m and l_{m+1}; they
-    # rotate each step, so the loop allocates no (dim x radii) temporaries
-    prev, nxt = np.zeros_like(cur), np.empty_like(cur)
-    term = np.empty_like(coeff)
-    for m in range(1, dim):
-        k = dim - m  # diagonals d < k still have a term rho[m, m+d]
-        dk = d[:k]
-        new = nxt[:k]
-        np.subtract(2 * m - 1 + dk, radius, out=new)
-        new *= cur[:k]
-        old = prev[:k]
-        old *= np.sqrt((m - 1) * (m - 1 + dk))
-        new -= old
-        new /= np.sqrt(m * (m + dk))
-        prev, cur, nxt = cur, nxt, prev
-        np.multiply((-1) ** m * rho[m, m:, None], new, out=term[:k])
-        coeff[:k] += term[:k]
-    coeff[1:] *= 2.0
+    coeff = _radial_sums(rho, radius)
     # e^{i theta}; 0 at the origin, where every c_d with d > 0 vanishes
     phase = two_a / np.where(norm == 0.0, 1.0, norm)
     total = coeff[dim - 1][inverse]
@@ -359,19 +385,36 @@ def optimize_g_for_kitten(alpha: complex, lam: float, l: int,
 _LOBE_RADII, _LOBE_ANGLES, _LOBE_REL_THRESHOLD = 160, 360, 0.1
 
 
+def _angular_mass(state: PureState | DensityMatrix, r_max: float) -> np.ndarray:
+    """The radially integrated Wigner weight at `radial_lobe_count`'s 360
+    angles: the trapezoid integral of W r over 160 radii from 0 to `r_max`.
+
+    W is linear in its radial sums, so the weight at angle theta is
+    (1/pi) Re sum_d e^{i d theta} C_d, with C_d the trapezoid integral of
+    (2 - delta_d0) c_d(2 r^2) r: one recurrence on the 160 radii, then
+    Horner's rule (np.polyval) over the angles.  Refuses, with MemoryError, before its
+    (level x radius) buffers when they would exceed the physical memory.
+    """
+    if not (r_max > 0.0 and math.isfinite(2.0 * float(r_max) * float(r_max))):
+        raise ValueError(f"r_max must be positive with a finite 2 r_max^2, got {r_max}")
+    rho = _cavity_matrix(state)
+    _require_wigner_bytes(rho.shape[0], _LOBE_ANGLES, _LOBE_RADII)
+    r = np.linspace(0.0, r_max, _LOBE_RADII)
+    sums = np.trapezoid(_radial_sums(rho, 2.0 * r * r) * r, r, axis=1)
+    phase = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, _LOBE_ANGLES, endpoint=False))
+    return np.polyval(sums[::-1], phase).real / math.pi
+
+
 def radial_lobe_count(state: PureState | DensityMatrix, r_max: float) -> int:
     """Count phase-space lobes: angular peaks of the radially integrated Wigner
-    weight above 10% of the strongest peak, on a 160 x 360 polar grid.
+    weight above 10% of the strongest peak, at 360 angles, integrated over 160
+    radii from 0 to `r_max` (see `_angular_mass`).
 
     The signed integral is used on purpose: interference fringes between lobes
     alternate in sign along a ray and cancel, while each lobe keeps its full
     probability mass.
     """
-    r = np.linspace(0.0, r_max, _LOBE_RADII)
-    theta = np.linspace(0.0, 2.0 * math.pi, _LOBE_ANGLES, endpoint=False)
-    pts = (r[:, None] * np.exp(1j * theta)[None, :]) / math.sqrt(2.0)
-    w = wigner_at(state, pts)
-    mass = np.trapezoid(w * r[:, None], r, axis=0)
+    mass = _angular_mass(state, r_max)
     peak = float(mass.max())
     if peak <= 0:
         return 0

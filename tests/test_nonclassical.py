@@ -29,7 +29,8 @@ from triqom import (
 )
 from triqom.core import displaced_fock
 from triqom.nonclassical import (_WIGNER_CELL_BYTES, _WIGNER_POINT_BYTES, WignerGrid,
-                                 _kitten_objective, default_axis)
+                                 _angular_mass, _kitten_objective, _radial_sums,
+                                 default_axis)
 
 from conftest import (
     TWO_PI,
@@ -234,6 +235,17 @@ class TestWignerMemory:
                             lambda: points + _WIGNER_CELL_BYTES * 41 * 221)
         with pytest.raises(MemoryError, match="a Wigner grid of 1681 points"):
             wigner(state, ax, ax)
+
+    def test_lobe_count_refuses_before_its_radial_sums(self, monkeypatch):
+        calls = spy_calls(monkeypatch, _radial_sums)
+        state = cavity_unconditional(10, _CAT, 41)
+        # 41 x 160 cells and 360 angles need about 466 kB
+        monkeypatch.setattr("triqom.core._memory_budget", lambda: 400_000)
+        with pytest.raises(MemoryError, match="a Wigner grid of 360 points on 41 levels"):
+            radial_lobe_count(state, 7.0)
+        assert calls == []
+        monkeypatch.undo()
+        assert radial_lobe_count(state, 7.0) == 2
 
     @pytest.mark.parametrize("read", [
         lambda state: wigner(state, default_axis(3.0, 8), default_axis(3.0, 8)),
@@ -459,6 +471,13 @@ _REJECTED = {
         "fidelity target needs a single-mode state"),
     "kitten range": (lambda: optimize_g_for_kitten(3.0, 1.0, 1, (0.02, 0.01)),
                      "need 0 < g_lo < g_hi"),
+    **{f"lobe r_max {r_max}": (lambda r_max=r_max: radial_lobe_count(fock_state(0, 4), r_max),
+                               "r_max must be positive")
+       for r_max in (math.nan, math.inf, -8.0, 0.0, 1e200)},
+    **{f"Wigner point {point}": (lambda point=point: wigner_at(fock_state(0, 4),
+                                                               np.array([0.5, point])),
+                                 "Wigner points must")
+       for point in (math.nan, complex(0.0, math.inf), 1e200)},
 }
 
 
@@ -469,7 +488,32 @@ def test_bad_inputs_are_rejected_by_name(name):
         call()
 
 
+# the unconditional and the projected states of the shipped cat and kitten
+# configs: cat_two_lobe, cat_five_lobe, kitten_conditional and kitten_optimal
+_SHIPPED_CATS = [(0.5, 0.5, 1), (0.31622776601683794, 0.8, 1), (0.0125, 1.0, 10),
+                 (0.0038917100589791, 1.0, 10)]
+
+
 class TestLobeCounter:
+    def test_counts_without_a_wigner_grid(self, monkeypatch):
+        calls = spy_calls(monkeypatch, wigner_at)
+        rho = cavity_unconditional(1, ModelParams(g=0.5, lam=0.5, alpha=3.0))
+        assert radial_lobe_count(rho, 7.0) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("g, lam, l", _SHIPPED_CATS)
+    @pytest.mark.parametrize("projected", [False, True], ids=["unconditional", "projected"])
+    def test_mass_matches_the_polar_grid_trapezoid(self, g, lam, l, projected):
+        params = ModelParams(g=g, lam=lam, alpha=3.0)
+        state = (projected_qubit_state(l, params) if projected
+                 else cavity_unconditional(l, params))
+        r_max = default_axis(3.0)[-1]
+        r = np.linspace(0.0, r_max, 160)
+        theta = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        w = wigner_at(state, r[:, None] * np.exp(1j * theta)[None, :] / math.sqrt(2.0))
+        want = np.trapezoid(w * r[:, None], r, axis=0)
+        np.testing.assert_allclose(_angular_mass(state, r_max), want, rtol=0, atol=1e-13)
+
     def test_no_positive_weight_counts_no_lobe(self):
         # within r = 0.5 the one-photon Wigner function is negative at every angle
         assert radial_lobe_count(fock_state(1, 4), 0.5) == 0
